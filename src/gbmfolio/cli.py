@@ -3,17 +3,21 @@ simulation plus forecast evaluation, and the full report run.
 
 Every command writes CSV files (12 significant digits) plus a JSON
 manifest carrying the configuration, seed and a content hash per file,
-so any run can be audited and reproduced byte for byte.
+so any run can be audited and reproduced byte for byte. A run computes
+each pipeline stage at most once, and only the stages its outputs need;
+the commands choose which outputs to write, and report writes them all.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric error.
 """
 
 import argparse
+import datetime as dt
 import hashlib
 import json
 import sys
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from functools import cached_property
 from pathlib import Path
 
 from . import _kernels
@@ -21,14 +25,8 @@ from .config import RunConfig, apply_overrides, load_config, parse_horizons
 from .errors import DataError, NumericError
 from .evaluation import evaluate_ensemble
 from .gbm import GbmParams, SimulationConfig, envelope, simulate_ensemble
-from .market_data import PriceSeries, align_panel, load_csv, slice_panel, slice_period
-from .portfolio import (
-    Portfolio,
-    Weights,
-    optimize_max_sharpe,
-    portfolio_value_series,
-    rank_and_group,
-)
+from .market_data import PricePanel, PriceSeries, align_panel, load_csv, slice_panel, slice_period
+from .portfolio import Weights, optimize_max_sharpe, portfolio_value_series, rank_and_group
 from .stats import asset_stats
 
 import numpy as np
@@ -45,13 +43,6 @@ def _fmt(x):
     return str(x)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _config_dict(config):
     d = asdict(config)
     d.pop("out_dir")  # where the files land is not part of the results
@@ -61,210 +52,13 @@ def _config_dict(config):
     return d
 
 
-def _write_manifest(out_dir, command, config, files):
-    hashes = {}
-    for name in sorted(files):
-        hashes[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-    manifest = {
-        "command": command,
-        "backend": _kernels.BACKEND,
-        "config": _config_dict(config),
-        "files": hashes,
-    }
-    with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _subject_seed(config, name):
     # stable per-subject stream, independent of which subjects a run includes
     return (config.seed << 32) ^ zlib.crc32(name.encode())
 
 
-def _universe_tickers(config):
-    paths = sorted(Path(config.data_dir).glob("*.csv"))
-    if not paths:
-        raise DataError(f"no CSV files in {config.data_dir}")
-    return [p.stem for p in paths]
-
-
-def _load_series(config, ticker):
-    return load_csv(Path(config.data_dir) / f"{ticker}.csv", ticker)
-
-
-def _load_panel(config, tickers, start, end):
-    series = [_load_series(config, t) for t in tickers]
-    return slice_panel(align_panel(series), start, end)
-
-
-# ---------------------------------------------------------------------------
-# stats
-
-def cmd_stats(config, tickers):
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for ticker in tickers:
-        series = slice_period(
-            _load_series(config, ticker), config.calibration_start, config.calibration_end
-        )
-        s = asset_stats(series, config.risk_free)
-        rows.append((s.ticker, s.return_annual, s.risk_annual, s.sharpe))
-
-    _write_csv(out_dir / "stats.csv", ["ticker", "return_annual", "risk_annual", "sharpe"], rows)
-    with open(out_dir / "stats.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"{'ticker':<10}{'return':>12}{'risk':>12}{'sharpe':>10}\n")
-        for ticker, ret, risk, sharpe in rows:
-            sh = "NA" if sharpe is None else f"{sharpe:.3f}"
-            fh.write(f"{ticker:<10}{ret:>12.4f}{risk:>12.4f}{sh:>10}\n")
-    _write_manifest(out_dir, "stats", config, ["stats.csv", "stats.txt"])
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# group
-
-def _grouping(config, metric, calibration_panel):
-    return rank_and_group(
-        calibration_panel,
-        metric,
-        config.risk_free,
-        group_count=config.group_count,
-        group_size=config.group_size,
-    )
-
-
-def _group_weights(config, metric, members, calibration_panel):
-    """Equal weights for return/risk groups; max-Sharpe weights otherwise."""
-    sub = align_panel([calibration_panel.column(t) for t in members])
-    if metric == "sharpe":
-        weights, _ = optimize_max_sharpe(
-            sub,
-            config.n_trials,
-            _subject_seed(config, f"opt-{metric}-{'-'.join(members)}"),
-            config.risk_free,
-        )
-        return weights
-    return Weights(np.full(len(members), 1.0 / len(members)))
-
-
-def cmd_group(config, metric):
-    if metric not in METRICS:
-        raise DataError(f"unknown metric {metric!r}")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    panel = _load_panel(
-        config, _universe_tickers(config), config.calibration_start, config.calibration_end
-    )
-    grouping = _grouping(config, metric, panel)
-
-    rows = [
-        (g + 1, rank + 1, ticker)
-        for g, members in enumerate(grouping.groups)
-        for rank, ticker in enumerate(members)
-    ]
-    files = [f"groups_{metric}.csv"]
-    _write_csv(out_dir / files[0], ["group", "rank", "ticker"], rows)
-
-    if metric == "sharpe":
-        weight_rows = []
-        for g, members in enumerate(grouping.groups):
-            weights = _group_weights(config, metric, members, panel)
-            weight_rows.extend(
-                (g + 1, ticker, w) for ticker, w in zip(members, weights.values)
-            )
-        files.append("weights_sharpe.csv")
-        _write_csv(out_dir / files[1], ["group", "ticker", "weight"], weight_rows)
-
-    _write_manifest(out_dir, f"group-{metric}", config, files)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# simulate
-
-def _horizon_max(config):
-    return max(h.days for h in config.horizons)
-
-
-def _forecast_subject(config, name, calibration_series, actual_series):
-    """Calibrate on the history, simulate, score against realized prices.
-
-    actual_series index 0 is the last calibration price (the simulation's
-    day 0); it must extend at least max-horizon days beyond that.
-    """
-    stats = asset_stats(calibration_series, config.risk_free)
-    params = GbmParams(
-        s0=float(calibration_series.prices[-1]), mu=stats.mu_daily, sigma=stats.sigma_daily
-    )
-    sim = SimulationConfig(
-        n_paths=config.n_paths, horizon=_horizon_max(config), seed=_subject_seed(config, name)
-    )
-    paths = simulate_ensemble(params, sim)
-    report = evaluate_ensemble(
-        paths, actual_series, config.horizons, denominator=config.mape_denominator
-    )
-    band = envelope(paths, *ENVELOPE_QUANTILES)
-    return report, band, actual_series
-
-
-def _spliced_actual(name, calibration_series, evaluation_series, max_h):
-    if len(evaluation_series) < max_h:
-        raise DataError(f"{name}: evaluation window shorter than horizon {max_h}")
-    dates = (calibration_series.dates[-1],) + evaluation_series.dates[:max_h]
-    prices = np.concatenate(
-        ([calibration_series.prices[-1]], evaluation_series.prices[:max_h])
-    )
-    return PriceSeries(name, dates, prices)
-
-
-def _ticker_subject(config, ticker):
-    series = _load_series(config, ticker)
-    calib = slice_period(series, config.calibration_start, config.calibration_end)
-    ev = slice_period(series, config.evaluation_start, config.evaluation_end)
-    actual = _spliced_actual(ticker, calib, ev, _horizon_max(config))
-    return calib, actual
-
-
-def _group_subject(config, metric, index, full_panel, calibration_panel):
-    grouping = _grouping(config, metric, calibration_panel)
-    members = grouping.groups[index]
-    weights = _group_weights(config, metric, members, calibration_panel)
-    capital = 100.0 * len(members)
-    name = f"{metric}-{index + 1}"
-    sub_full = align_panel([full_panel.column(t) for t in members])
-    value = portfolio_value_series(sub_full, weights, capital, name=name)
-    calib = slice_period(value, config.calibration_start, config.calibration_end)
-    ev = slice_period(value, config.evaluation_start, config.evaluation_end)
-    actual = _spliced_actual(name, calib, ev, _horizon_max(config))
-    portfolio = Portfolio(tuple(members), weights, capital, value)
-    return calib, actual, portfolio
-
-
-def _emit_subject(out_dir, config, name, calib, actual):
-    report, band, actual = _forecast_subject(config, name, calib, actual)
-    report_rows = [
-        (r.horizon.label, r.horizon.days, r.mean_correlation, r.mape, r.band)
-        for r in report.results
-    ]
-    _write_csv(
-        out_dir / f"report_{name}.csv",
-        ["horizon", "days", "mean_correlation", "mape", "band"],
-        report_rows,
-    )
-    env_rows = [
-        (k, actual.dates[k].isoformat(), actual.prices[k], band.mean[k], band.lower[k], band.upper[k])
-        for k in range(len(actual))
-    ]
-    _write_csv(
-        out_dir / f"envelope_{name}.csv",
-        ["day_index", "date", "actual", "mean", "q05", "q95"],
-        env_rows,
-    )
-    return report, [f"report_{name}.csv", f"envelope_{name}.csv"]
-
-
 def _parse_subject(subject):
+    """(metric, index) of a group subject such as sharpe-2; None for a ticker."""
     for metric in METRICS:
         prefix = metric + "-"
         if subject.startswith(prefix):
@@ -274,6 +68,12 @@ def _parse_subject(subject):
                 raise DataError(f"bad group subject {subject!r}") from None
             return metric, index
     return None
+
+
+def _columns(panel, tickers):
+    """The sub-panel of the given tickers, in that order, stored row-major."""
+    index = [panel.tickers.index(t) for t in tickers]
+    return PricePanel(tickers, panel.dates, np.ascontiguousarray(panel.matrix[:, index]))
 
 
 def _summary_rows(reports):
@@ -294,79 +94,275 @@ def _summary_rows(reports):
     return rows
 
 
-def cmd_simulate(config, subject):
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    reports = []
+# ---------------------------------------------------------------------------
+# the pipeline: each stage is computed on first use, at most once per run
 
-    group_ref = _parse_subject(subject) if subject != "all" else None
-    if subject == "all" or group_ref is not None:
-        tickers = _universe_tickers(config)
-        full_panel = slice_panel(
-            align_panel([_load_series(config, t) for t in tickers]),
-            config.calibration_start,
-            config.evaluation_end,
+class Group:
+    """One ranked group of the universe; its weights are found on first use."""
+
+    def __init__(self, run, metric, index, members):
+        self.run = run
+        self.metric = metric
+        self.name = f"{metric}-{index + 1}"
+        self.members = members
+
+    @cached_property
+    def weights(self):
+        """Equal weights for return/risk groups; max-Sharpe weights otherwise."""
+        n = len(self.members)
+        if self.metric != "sharpe":
+            return Weights(np.full(n, 1.0 / n))
+        config = self.run.config
+        weights, _ = optimize_max_sharpe(
+            _columns(self.run.calibration_panel, self.members),
+            config.n_trials,
+            _subject_seed(config, f"opt-{self.metric}-{'-'.join(self.members)}"),
+            config.risk_free,
         )
-        calibration_panel = slice_panel(
-            full_panel, config.calibration_start, config.calibration_end
+        return weights
+
+    def value_series(self):
+        """Buy-and-hold value of the group over the run's whole window."""
+        return portfolio_value_series(
+            _columns(self.run.panel, self.members),
+            self.weights,
+            100.0 * len(self.members),
+            name=self.name,
         )
 
-    if subject == "all":
-        for ticker in tickers:
-            calib = slice_period(
-                full_panel.column(ticker), config.calibration_start, config.calibration_end
+
+class Ranking:
+    """The universe ranked by one metric and cut into groups, on first use."""
+
+    def __init__(self, run, metric):
+        self.run = run
+        self.metric = metric
+
+    @cached_property
+    def groups(self):
+        config = self.run.config
+        grouping = rank_and_group(
+            self.run.calibration_panel,
+            self.metric,
+            config.risk_free,
+            group_count=config.group_count,
+            group_size=config.group_size,
+        )
+        return tuple(
+            Group(self.run, self.metric, index, members)
+            for index, members in enumerate(grouping.groups)
+        )
+
+
+class Run:
+    """One invocation of the pipeline; the commands choose what it writes.
+
+    `tickers` is every CSV in the data directory unless the command names
+    its own; the panel of a one-ticker run is that ticker's own series.
+    Only the stages a command's outputs need are computed, and the
+    manifest lists exactly the files this run wrote.
+    """
+
+    def __init__(self, config, tickers=None):
+        self.config = config
+        self.out_dir = Path(config.out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.written = []
+        self.rankings = {metric: Ranking(self, metric) for metric in METRICS}
+        if tickers is not None:
+            self.tickers = tuple(tickers)
+
+    @cached_property
+    def tickers(self):
+        paths = sorted(Path(self.config.data_dir).glob("*.csv"))
+        if not paths:
+            raise DataError(f"no CSV files in {self.config.data_dir}")
+        return tuple(p.stem for p in paths)
+
+    @cached_property
+    def series(self):
+        """Each ticker's prices over calibration_start..evaluation_end.
+
+        One load_csv per file; the rest of the history is not kept.
+        """
+        c = self.config
+        return {
+            t: slice_period(
+                load_csv(Path(c.data_dir) / f"{t}.csv", t), c.calibration_start, c.evaluation_end
             )
-            ev = slice_period(
-                full_panel.column(ticker), config.evaluation_start, config.evaluation_end
-            )
-            actual = _spliced_actual(ticker, calib, ev, _horizon_max(config))
-            report, emitted = _emit_subject(out_dir, config, ticker, calib, actual)
-            reports.append(report)
-            files.extend(emitted)
-        for metric in METRICS:
-            for index in range(config.group_count):
-                calib, actual, _ = _group_subject(
-                    config, metric, index, full_panel, calibration_panel
-                )
-                report, emitted = _emit_subject(
-                    out_dir, config, f"{metric}-{index + 1}", calib, actual
-                )
-                reports.append(report)
-                files.extend(emitted)
-        _write_csv(
-            out_dir / "summary.csv",
+            for t in dict.fromkeys(self.tickers)
+        }
+
+    @cached_property
+    def calibration_series(self):
+        """Each ticker's own (unaligned) calibration window, for stats.csv.
+
+        A run that needs it and the panel builds it first: the panel
+        releases the per-ticker series.
+        """
+        c = self.config
+        return {
+            t: slice_period(s, c.calibration_start, c.calibration_end)
+            for t, s in self.series.items()
+        }
+
+    @cached_property
+    def panel(self):
+        """Every ticker inner-joined over calibration_start..evaluation_end."""
+        c = self.config
+        series = self.series
+        del self.__dict__["series"]  # later stages read the panel
+        return slice_panel(
+            align_panel([series[t] for t in self.tickers]), c.calibration_start, c.evaluation_end
+        )
+
+    @cached_property
+    def calibration_panel(self):
+        c = self.config
+        return slice_panel(self.panel, c.calibration_start, c.calibration_end)
+
+    def subject_series(self, subject):
+        """A subject's prices over the whole window: a panel column or a group's value."""
+        ref = _parse_subject(subject)
+        if ref is None:
+            return self.panel.column(subject)
+        metric, index = ref
+        if not 0 <= index < self.config.group_count:
+            raise DataError(f"group index out of range in {subject!r}")
+        return self.rankings[metric].groups[index].value_series()
+
+    def forecast(self, subject):
+        """Calibrate, simulate and score one subject against realized prices.
+
+        The actual series starts at the last calibration price (the
+        simulation's day 0) and runs max-horizon days beyond it.
+        """
+        c = self.config
+        series = self.subject_series(subject)
+        calib = slice_period(series, c.calibration_start, c.calibration_end)
+        evaluation = slice_period(series, c.evaluation_start, c.evaluation_end)
+        max_h = max(h.days for h in c.horizons)
+        if len(evaluation) < max_h:
+            raise DataError(f"{subject}: evaluation window shorter than horizon {max_h}")
+        actual = PriceSeries(
+            subject,
+            (calib.dates[-1],) + evaluation.dates[:max_h],
+            np.concatenate(([calib.prices[-1]], evaluation.prices[:max_h])),
+        )
+        stats = asset_stats(calib, c.risk_free)
+        params = GbmParams(s0=float(calib.prices[-1]), mu=stats.mu_daily, sigma=stats.sigma_daily)
+        sim = SimulationConfig(n_paths=c.n_paths, horizon=max_h, seed=_subject_seed(c, subject))
+        paths = simulate_ensemble(params, sim)
+        report = evaluate_ensemble(paths, actual, c.horizons, denominator=c.mape_denominator)
+        return report, envelope(paths, *ENVELOPE_QUANTILES), actual
+
+    # -- outputs ------------------------------------------------------------
+
+    def write_csv(self, name, header, rows):
+        with open(self.out_dir / name, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        self.written.append(name)
+
+    def write_stats(self):
+        rows = []
+        for ticker in self.tickers:
+            s = asset_stats(self.calibration_series[ticker], self.config.risk_free)
+            rows.append((s.ticker, s.return_annual, s.risk_annual, s.sharpe))
+        self.write_csv("stats.csv", ["ticker", "return_annual", "risk_annual", "sharpe"], rows)
+        with open(self.out_dir / "stats.txt", "w", encoding="utf-8") as fh:
+            fh.write(f"{'ticker':<10}{'return':>12}{'risk':>12}{'sharpe':>10}\n")
+            for ticker, ret, risk, sharpe in rows:
+                sh = "NA" if sharpe is None else f"{sharpe:.3f}"
+                fh.write(f"{ticker:<10}{ret:>12.4f}{risk:>12.4f}{sh:>10}\n")
+        self.written.append("stats.txt")
+
+    def write_groups(self, metric):
+        groups = self.rankings[metric].groups
+        rows = [
+            (g + 1, rank + 1, ticker)
+            for g, group in enumerate(groups)
+            for rank, ticker in enumerate(group.members)
+        ]
+        self.write_csv(f"groups_{metric}.csv", ["group", "rank", "ticker"], rows)
+        if metric == "sharpe":
+            rows = [
+                (g + 1, ticker, w)
+                for g, group in enumerate(groups)
+                for ticker, w in zip(group.members, group.weights.values)
+            ]
+            self.write_csv("weights_sharpe.csv", ["group", "ticker", "weight"], rows)
+
+    def write_forecast(self, subject):
+        report, band, actual = self.forecast(subject)
+        rows = [
+            (r.horizon.label, r.horizon.days, r.mean_correlation, r.mape, r.band)
+            for r in report.results
+        ]
+        self.write_csv(
+            f"report_{subject}.csv", ["horizon", "days", "mean_correlation", "mape", "band"], rows
+        )
+        rows = [
+            (k, day.isoformat(), price, band.mean[k], band.lower[k], band.upper[k])
+            for k, (day, price) in enumerate(zip(actual.dates, actual.prices))
+        ]
+        self.write_csv(
+            f"envelope_{subject}.csv", ["day_index", "date", "actual", "mean", "q05", "q95"], rows
+        )
+        return report
+
+    def write_all_forecasts(self):
+        """Every ticker, then every ranked group, plus summary.csv."""
+        groups = tuple(f"{m}-{i + 1}" for m in METRICS for i in range(self.config.group_count))
+        reports = [self.write_forecast(subject) for subject in self.tickers + groups]
+        self.write_csv(
+            "summary.csv",
             ["subject", "horizon", "days", "mean_correlation", "mape", "band"],
             _summary_rows(reports),
         )
-        files.append("summary.csv")
-    elif group_ref is not None:
-        metric, index = group_ref
-        if not (0 <= index < config.group_count):
-            raise DataError(f"group index out of range in {subject!r}")
-        calib, actual, _ = _group_subject(config, metric, index, full_panel, calibration_panel)
-        _, emitted = _emit_subject(out_dir, config, subject, calib, actual)
-        files.extend(emitted)
+
+    def write_manifest(self, command):
+        manifest = {
+            "command": command,
+            "backend": _kernels.BACKEND,
+            "config": _config_dict(self.config),
+            "files": {
+                name: hashlib.sha256((self.out_dir / name).read_bytes()).hexdigest()
+                for name in sorted(self.written)
+            },
+        }
+        with open(self.out_dir / "run_manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def run_command(config, args):
+    """Write the outputs the parsed command asks for, then the manifest."""
+    command = args.command
+    if command == "stats":
+        run = Run(config, args.tickers)
+        run.write_stats()
+    elif command == "group":
+        run = Run(config)
+        run.write_groups(args.metric)
+        command = f"group-{args.metric}"
+    elif command == "simulate" and args.subject == "all":
+        run = Run(config)
+        run.write_all_forecasts()
+        command = "simulate-all"
+    elif command == "simulate":
+        # a ticker subject reads its own file only
+        run = Run(config, None if _parse_subject(args.subject) else [args.subject])
+        run.write_forecast(args.subject)
+        command = f"simulate-{args.subject}"
     else:
-        calib, actual = _ticker_subject(config, subject)
-        _, emitted = _emit_subject(out_dir, config, subject, calib, actual)
-        files.extend(emitted)
-
-    _write_manifest(out_dir, f"simulate-{subject}", config, files)
-    return 0
-
-
-def cmd_report(config):
-    """End-to-end run: stats for the whole universe, all groupings, all subjects."""
-    cmd_stats(config, _universe_tickers(config))
-    for metric in METRICS:
-        cmd_group(config, metric)
-    cmd_simulate(config, "all")
-    # the last manifest wins; rebuild it over everything present
-    out_dir = Path(config.out_dir)
-    files = sorted(p.name for p in out_dir.iterdir() if p.name != "run_manifest.json")
-    _write_manifest(out_dir, "report", config, files)
-    return 0
+        run = Run(config)
+        run.write_stats()
+        for metric in METRICS:
+            run.write_groups(metric)
+        run.write_all_forecasts()
+    run.write_manifest(command)
 
 
 # ---------------------------------------------------------------------------
@@ -379,22 +375,39 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _flag_value(parse):
+    """argparse type for `parse`: a value it rejects is a usage error."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except (ValueError, DataError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def build_parser():
+    date = _flag_value(dt.date.fromisoformat)
     parser = _Parser(prog="gbmfolio", description=__doc__)
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--data-dir", help="directory of <TICKER>.csv files")
     parser.add_argument("--out-dir", help="output directory")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--paths", type=int, help="simulated paths per subject")
-    parser.add_argument("--trials", type=int, help="random portfolios per optimization")
+    parser.add_argument("--paths", dest="n_paths", type=int, help="simulated paths per subject")
+    parser.add_argument(
+        "--trials", dest="n_trials", type=int, help="random portfolios per optimization"
+    )
     parser.add_argument("--risk-free", type=float, help="annual risk-free rate")
-    parser.add_argument("--horizons", help="label:days list, e.g. 1w:5,1m:21")
+    parser.add_argument(
+        "--horizons", type=_flag_value(parse_horizons), help="label:days list, e.g. 1w:5,1m:21"
+    )
     parser.add_argument("--group-count", type=int)
     parser.add_argument("--group-size", type=int)
-    parser.add_argument("--calibration-start")
-    parser.add_argument("--calibration-end")
-    parser.add_argument("--evaluation-start")
-    parser.add_argument("--evaluation-end")
+    parser.add_argument("--calibration-start", type=date)
+    parser.add_argument("--calibration-end", type=date)
+    parser.add_argument("--evaluation-start", type=date)
+    parser.add_argument("--evaluation-end", type=date)
 
     sub = parser.add_subparsers(dest="command", required=True)
     p_stats = sub.add_parser("stats", help="per-asset return/risk/Sharpe table")
@@ -408,45 +421,23 @@ def build_parser():
 
 
 def _resolve_config(args):
-    import datetime as dt
-
+    """Defaults, then the config file, then every flag that was given."""
     config = load_config(args.config) if args.config else RunConfig()
-    date = dt.date.fromisoformat
-    return apply_overrides(
-        config,
-        data_dir=args.data_dir,
-        out_dir=args.out_dir,
-        seed=args.seed,
-        n_paths=args.paths,
-        n_trials=args.trials,
-        risk_free=args.risk_free,
-        horizons=parse_horizons(args.horizons) if args.horizons else None,
-        group_count=args.group_count,
-        group_size=args.group_size,
-        calibration_start=date(args.calibration_start) if args.calibration_start else None,
-        calibration_end=date(args.calibration_end) if args.calibration_end else None,
-        evaluation_start=date(args.evaluation_start) if args.evaluation_start else None,
-        evaluation_end=date(args.evaluation_end) if args.evaluation_end else None,
-    )
+    keys = {f.name for f in fields(RunConfig)}
+    return apply_overrides(config, **{k: v for k, v in vars(args).items() if k in keys})
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        if args.command == "stats":
-            return cmd_stats(config, args.tickers)
-        if args.command == "group":
-            return cmd_group(config, args.metric)
-        if args.command == "simulate":
-            return cmd_simulate(config, args.subject)
-        return cmd_report(config)
+        run_command(_resolve_config(args), args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ import datetime as dt
 from dataclasses import dataclass, replace
 
 from .errors import DataError
-from .evaluation import DEFAULT_HORIZONS, HorizonSpec
+from .evaluation import DEFAULT_HORIZONS, MAPE_DENOMINATORS, HorizonSpec
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,10 @@ class RunConfig:
             raise DataError("paths and trials must be >= 1")
         if self.group_count < 1 or self.group_size < 1:
             raise DataError("group count and size must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
+        if self.mape_denominator not in MAPE_DENOMINATORS:
+            raise DataError(f"unknown mape_denominator {self.mape_denominator!r}")
 
 
 def parse_horizons(text):
@@ -40,7 +44,10 @@ def parse_horizons(text):
         label, _, days = part.strip().partition(":")
         if not days:
             raise DataError(f"bad horizon {part!r}, expected label:days")
-        specs.append(HorizonSpec(label, int(days)))
+        try:
+            specs.append(HorizonSpec(label, int(days)))
+        except ValueError:
+            raise DataError(f"bad horizon {part!r}, days must be an integer") from None
     return tuple(specs)
 
 
@@ -75,7 +82,10 @@ def load_config(path):
                 key = key.strip()
                 if not eq or key not in _PARSERS:
                     raise DataError(f"{path}:{lineno}: bad config line {line!r}")
-                overrides[key] = _PARSERS[key](value.strip())
+                try:
+                    overrides[key] = _PARSERS[key](value.strip())
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     return RunConfig(**overrides)

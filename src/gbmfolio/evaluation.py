@@ -36,6 +36,7 @@ DEFAULT_HORIZONS = (
 )
 
 BANDS = ("high", "good", "reasonable", "imprecise")
+MAPE_DENOMINATORS = ("forecast", "actual")
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,8 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS, denominator="f
     paths whose segment is constant are skipped in the correlation mean
     but still counted for MAPE.
     """
+    if denominator not in MAPE_DENOMINATORS:
+        raise DataError(f"unknown denominator {denominator!r}")
     paths = pathset.paths
     max_h = max(h.days for h in horizons)
     if len(actual) < max_h + 1:

@@ -8,6 +8,7 @@ days the data contains define the calendar.
 
 import csv
 import datetime as dt
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -99,8 +100,8 @@ def load_csv(path, ticker):
 
     The file needs a header with a date column and an adjusted-close
     column ("Adj Close", falling back to "Close"). Rows with empty or
-    non-numeric prices are dropped; non-positive prices are dropped with
-    a warning; duplicate dates keep the first occurrence.
+    non-numeric prices are dropped; non-finite and non-positive prices
+    are dropped with a warning; duplicate dates keep the first occurrence.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -132,7 +133,10 @@ def load_csv(path, ticker):
                 price = float(row[price_col])
             except ValueError:
                 continue
-            if not np.isfinite(price) or price <= 0:
+            if not math.isfinite(price):
+                warnings.warn(f"{ticker}: dropping non-finite price on {row[date_col]}")
+                continue
+            if price <= 0:
                 warnings.warn(f"{ticker}: dropping non-positive price on {row[date_col]}")
                 continue
             rows.append((date, price))

@@ -1,11 +1,20 @@
 import csv
 import datetime as dt
 import json
+import os
+import shutil
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import gbmfolio
+from gbmfolio import cli
 from gbmfolio.cli import main
+from gbmfolio.config import RunConfig
+from gbmfolio.errors import DataError
 from gbmfolio.market_data import load_csv, slice_period
 from gbmfolio.stats import asset_stats
 from gbmfolio.synthetic import make_universe
@@ -20,6 +29,16 @@ def universe_dir(tmp_path_factory):
 
 def run(data_dir, out_dir, *args):
     return main(["--data-dir", str(data_dir), "--out-dir", str(out_dir), *args])
+
+
+def run_process(*args):
+    """The CLI in a child interpreter: (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gbmfolio.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gbmfolio.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stderr
 
 
 def read_rows(path):
@@ -197,6 +216,45 @@ class TestUsageAndConfig:
         assert manifest["config"]["n_paths"] == 25
         assert [h["label"] for h in manifest["config"]["horizons"]] == ["1w", "2w"]
 
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (["--seed", "-1"], 2, "data error: seed must be >= 0"),
+            (["--calibration-start", "2016-13-01"], 1, "error: argument --calibration-start"),
+            (["--horizons", "1w:x"], 1, "error: argument --horizons"),
+        ],
+    )
+    def test_bad_flag_value_exits_without_traceback(
+        self, universe_dir, tmp_path, flags, code, message
+    ):
+        rc, stderr = run_process(
+            "--data-dir", str(universe_dir), "--out-dir", str(tmp_path), *flags,
+            "--paths", "10", "simulate", "--subject", "SYN00",
+        )
+        assert rc == code
+        assert "Traceback" not in stderr
+        assert stderr.splitlines()[-1].startswith(message)
+
+    def test_unknown_mape_denominator_rejected(self, universe_dir, tmp_path):
+        with pytest.raises(DataError, match="mape_denominator"):
+            RunConfig(mape_denominator="bogus")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mape_denominator = bogus\n")
+        rc = main(
+            ["--config", str(cfg), "--data-dir", str(universe_dir),
+             "--out-dir", str(tmp_path / "out"), "--paths", "10", "simulate", "--subject", "SYN00"]
+        )
+        assert rc == 2
+
+    def test_bad_config_value_is_data_error(self, universe_dir, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = abc\n")
+        rc = main(
+            ["--config", str(cfg), "--data-dir", str(universe_dir),
+             "--out-dir", str(tmp_path / "out"), "stats"]
+        )
+        assert rc == 2
+
     def test_bad_config_line_is_data_error(self, universe_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense line\n")
@@ -221,3 +279,70 @@ class TestReport:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["command"] == "report"
         assert set(manifest["files"]) == names - {"run_manifest.json"}
+
+    def test_manifest_lists_only_files_of_this_run(self, universe_dir, tmp_path):
+        (tmp_path / "stale.csv").write_text("left,over\n")
+        rc = run(
+            universe_dir, tmp_path, "--group-count", "2", "--group-size", "3",
+            "--paths", "20", "--trials", "20", "report",
+        )
+        assert rc == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert "stale.csv" not in manifest["files"]
+        assert set(manifest["files"]) == {p.name for p in tmp_path.iterdir()} - {
+            "stale.csv", "run_manifest.json"
+        }
+
+
+class TestPipeline:
+    """report computes each stage once; the other commands are views of it."""
+
+    FLAGS = ("--group-count", "3", "--group-size", "2", "--paths", "20", "--trials", "20")
+
+    def test_report_runs_each_stage_once(self, universe_dir, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def count(name):
+            original = getattr(cli, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+
+        for name in ("load_csv", "align_panel", "rank_and_group", "optimize_max_sharpe"):
+            count(name)
+        assert run(universe_dir, tmp_path, *self.FLAGS, "report") == 0
+        n_files = len(list(universe_dir.glob("*.csv")))
+        assert calls == {
+            "load_csv": n_files, "align_panel": 1, "rank_and_group": 3, "optimize_max_sharpe": 3,
+        }
+
+    def test_commands_are_views_of_report(self, universe_dir, tmp_path):
+        tickers = sorted(p.stem for p in universe_dir.glob("*.csv"))
+        views = {
+            "stats": ["stats", *tickers],
+            "all": ["simulate", "--subject", "all"],
+            **{m: ["group", "--metric", m] for m in cli.METRICS},
+        }
+        assert run(universe_dir, tmp_path / "report", *self.FLAGS, "report") == 0
+        viewed = set()
+        for name, command in views.items():
+            out = tmp_path / name
+            assert run(universe_dir, out, *self.FLAGS, *command) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            for file in manifest["files"]:
+                assert (out / file).read_bytes() == (tmp_path / "report" / file).read_bytes()
+            viewed |= set(manifest["files"])
+        report = json.loads((tmp_path / "report" / "run_manifest.json").read_text())
+        assert viewed == set(report["files"])
+
+    def test_single_ticker_commands_read_only_their_file(self, universe_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        (data / "SYN03.csv").write_text("not a price file\n")
+        assert run(data, tmp_path / "stats", "stats", "SYN00") == 0
+        rc = run(data, tmp_path / "sim", "--paths", "20", "simulate", "--subject", "SYN00")
+        assert rc == 0
+        assert run(data, tmp_path / "report", *self.FLAGS, "report") == 2

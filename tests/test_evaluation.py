@@ -156,6 +156,11 @@ class TestEvaluateEnsemble:
         for a, b in zip(short.results, full.results[:2]):
             assert a == b
 
+    def test_unknown_denominator_rejected(self):
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), SimulationConfig(2, 10, 3))
+        with pytest.raises(DataError, match="denominator"):
+            evaluate_ensemble(ps, series(ps.paths[0]), self.horizons, denominator="bogus")
+
     def test_too_short_actual(self):
         ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), SimulationConfig(5, 10, 3))
         actual = series(100 * 1.002 ** np.arange(8))

@@ -60,9 +60,18 @@ class TestLoadCsv:
     def test_nonpositive_price_dropped_with_warning(self, tmp_path):
         path = tmp_path / "a.csv"
         write_csv(path, [("2019-01-02", "10.0"), ("2019-01-03", "-1.0"), ("2019-01-04", "11.0")])
-        with pytest.warns(UserWarning, match="non-positive"):
+        with pytest.warns(UserWarning, match="non-positive price on 2019-01-03"):
             s = load_csv(path, "A")
         assert len(s) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_price_dropped_with_its_own_warning(self, tmp_path, bad):
+        path = tmp_path / "a.csv"
+        write_csv(path, [("2019-01-02", "10.0"), ("2019-01-03", bad), ("2019-01-04", "11.0")])
+        with pytest.warns(UserWarning, match="non-finite price on 2019-01-03") as record:
+            s = load_csv(path, "A")
+        assert len(s) == 2
+        assert not any("non-positive" in str(w.message) for w in record)
 
     def test_unsorted_rows_are_sorted(self, tmp_path):
         path = tmp_path / "a.csv"
