@@ -2,7 +2,8 @@
 Monte Carlo max-Sharpe optimization, and forecast evaluation.
 """
 
-from ._kernels import BACKEND
+__version__ = "0.2.0"
+
 from .errors import DataError, GbmfolioError, NumericError
 from .evaluation import (
     DEFAULT_HORIZONS,
@@ -26,7 +27,6 @@ from .gbm import (
 from .market_data import (
     PricePanel,
     PriceSeries,
-    TradingCalendar,
     align_panel,
     load_csv,
     normalize_base100,
@@ -54,5 +54,3 @@ from .stats import (
     sharpe_ratio,
     simple_returns,
 )
-
-__version__ = "0.1.0"

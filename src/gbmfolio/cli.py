@@ -14,13 +14,14 @@ import argparse
 import datetime as dt
 import hashlib
 import json
+import platform
 import sys
 import zlib
 from dataclasses import asdict, fields
 from functools import cached_property
 from pathlib import Path
 
-from . import _kernels
+from . import __version__
 from .config import RunConfig, apply_overrides, load_config, parse_horizons
 from .errors import DataError, NumericError
 from .evaluation import evaluate_ensemble
@@ -28,6 +29,7 @@ from .gbm import GbmParams, SimulationConfig, envelope, simulate_ensemble
 from .market_data import PricePanel, PriceSeries, align_panel, load_csv, slice_panel, slice_period
 from .portfolio import Weights, optimize_max_sharpe, portfolio_value_series, rank_and_group
 from .stats import asset_stats
+from .streams import STREAMS
 
 import numpy as np
 
@@ -325,7 +327,12 @@ class Run:
     def write_manifest(self, command):
         manifest = {
             "command": command,
-            "backend": _kernels.BACKEND,
+            "streams": STREAMS,
+            "versions": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "gbmfolio": __version__,
+            },
             "config": _config_dict(self.config),
             "files": {
                 name: hashlib.sha256((self.out_dir / name).read_bytes()).hexdigest()

@@ -42,7 +42,7 @@ def parse_horizons(text):
     specs = []
     for part in text.split(","):
         label, _, days = part.strip().partition(":")
-        if not days:
+        if not label or not days:
             raise DataError(f"bad horizon {part!r}, expected label:days")
         try:
             specs.append(HorizonSpec(label, int(days)))
@@ -88,6 +88,8 @@ def load_config(path):
                     raise DataError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise DataError(f"config {path} is not UTF-8 text") from None
     return RunConfig(**overrides)
 
 

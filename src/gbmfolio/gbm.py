@@ -2,8 +2,9 @@
 
 Paths follow S(t) = S(0) * exp((mu - sigma^2/2) t + sigma W(t)) sampled
 at daily steps, with W built from standard-normal increments scaled by
-sqrt(dt). Path i of an ensemble draws its normals from a stream seeded
-by (seed, i), so results are reproducible regardless of execution order.
+sqrt(dt). Path i of an ensemble is row i of the seed's counter stream
+(see streams.py), turned into normals by Box-Muller, so it depends on
+(seed, i) alone and results are reproducible regardless of execution order.
 """
 
 import math
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DataError
+from .streams import uniform_rows
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n_paths < 1 or self.horizon < 1:
             raise DataError("n_paths and horizon must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -76,23 +79,60 @@ def wiener_increments(n, dt, rng):
     return rng.standard_normal(n) * math.sqrt(dt)
 
 
+def gbm_paths(s0, mu, sigma, dt, normals):
+    """Closed-form GBM paths from pre-drawn standard normals.
+
+    normals has shape (n_paths, horizon); the result has shape
+    (n_paths, horizon + 1) with column 0 fixed at s0.
+    """
+    normals = np.asarray(normals, dtype=float)
+    out = np.empty((normals.shape[0], normals.shape[1] + 1))
+    out[:, 0] = s0
+    log_rel = out[:, 1:]
+    np.multiply(normals, sigma * np.sqrt(dt), out=log_rel)
+    log_rel += (mu - 0.5 * sigma * sigma) * dt
+    np.cumsum(log_rel, axis=1, out=log_rel)
+    np.exp(log_rel, out=log_rel)
+    log_rel *= s0
+    return out
+
+
 def gbm_path(params, horizon, rng):
     """One simulated path of horizon+1 prices starting at s0."""
     normals = rng.standard_normal((1, horizon))
-    return _kernels.gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals)[0]
+    return gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals)[0]
+
+
+def box_muller(uniforms, horizon):
+    """The first `horizon` normals of each row of 2*ceil(horizon/2) uniforms.
+
+    The left half of a row gives the radii, sqrt(-2 log(1 - u)), so the
+    logarithm never sees 0; the right half gives the angles. The normals
+    are r*cos followed by r*sin, written over `uniforms`.
+    """
+    half = uniforms.shape[1] // 2
+    radius, angle = uniforms[:, :half], uniforms[:, half:]
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * math.pi
+    cos = np.cos(angle)
+    np.sin(angle, out=angle)
+    angle *= radius
+    np.multiply(cos, radius, out=radius)
+    return uniforms[:, :horizon]
 
 
 def _ensemble_normals(config):
-    normals = np.empty((config.n_paths, config.horizon))
-    for i in range(config.n_paths):
-        normals[i] = np.random.default_rng([config.seed, i]).standard_normal(config.horizon)
-    return normals
+    width = 2 * -(-config.horizon // 2)
+    return box_muller(uniform_rows(config.seed, 0, config.n_paths, width), config.horizon)
 
 
 def simulate_ensemble(params, config):
     """n_paths independent paths; path i depends only on (seed, i)."""
     normals = _ensemble_normals(config)
-    paths = _kernels.gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals)
+    paths = gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals)
     return PathSet(paths, params, config)
 
 

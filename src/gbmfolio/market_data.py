@@ -10,29 +10,13 @@ import csv
 import datetime as dt
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 
 TRADING_DAYS_PER_YEAR = 252
-
-
-@dataclass(frozen=True)
-class TradingCalendar:
-    """Trading-day conventions: annualization factor and horizon lengths."""
-
-    days_per_year: int = TRADING_DAYS_PER_YEAR
-    horizon_days: dict = field(
-        default_factory=lambda: {
-            "1w": 5,
-            "2w": 10,
-            "1m": 21,
-            "6m": 126,
-            "1y": 247,
-        }
-    )
 
 
 @dataclass(frozen=True)
@@ -95,6 +79,42 @@ def _parse_date(text):
     return dt.date.fromisoformat(text.strip())
 
 
+def _read_rows(reader, path, ticker):
+    """(date, price) of every usable row, in file order, after the header."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    cols = {name.strip().lower(): i for i, name in enumerate(header)}
+    if "date" not in cols:
+        raise DataError(f"{path}: malformed header, no Date column")
+    if "adj close" in cols:
+        price_col = cols["adj close"]
+    elif "close" in cols:
+        price_col = cols["close"]
+    else:
+        raise DataError(f"{path}: malformed header, no Adj Close/Close column")
+    date_col = cols["date"]
+
+    rows = []
+    for row in reader:
+        if len(row) <= max(date_col, price_col):
+            continue
+        try:
+            date = _parse_date(row[date_col])
+            price = float(row[price_col])
+        except ValueError:
+            continue
+        if not math.isfinite(price):
+            warnings.warn(f"{ticker}: dropping non-finite price on {row[date_col]}")
+            continue
+        if price <= 0:
+            warnings.warn(f"{ticker}: dropping non-positive price on {row[date_col]}")
+            continue
+        rows.append((date, price))
+    return rows
+
+
 def load_csv(path, ticker):
     """Load one asset's daily prices from a CSV export.
 
@@ -102,44 +122,19 @@ def load_csv(path, ticker):
     column ("Adj Close", falling back to "Close"). Rows with empty or
     non-numeric prices are dropped; non-finite and non-positive prices
     are dropped with a warning; duplicate dates keep the first occurrence.
+    A file that is not UTF-8 text or not well-formed CSV is a DataError.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open price file {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        cols = {name.strip().lower(): i for i, name in enumerate(header)}
-        if "date" not in cols:
-            raise DataError(f"{path}: malformed header, no Date column")
-        if "adj close" in cols:
-            price_col = cols["adj close"]
-        elif "close" in cols:
-            price_col = cols["close"]
-        else:
-            raise DataError(f"{path}: malformed header, no Adj Close/Close column")
-        date_col = cols["date"]
-
-        rows = []
-        for row in reader:
-            if len(row) <= max(date_col, price_col):
-                continue
-            try:
-                date = _parse_date(row[date_col])
-                price = float(row[price_col])
-            except ValueError:
-                continue
-            if not math.isfinite(price):
-                warnings.warn(f"{ticker}: dropping non-finite price on {row[date_col]}")
-                continue
-            if price <= 0:
-                warnings.warn(f"{ticker}: dropping non-positive price on {row[date_col]}")
-                continue
-            rows.append((date, price))
+            rows = _read_rows(csv.reader(fh), path, ticker)
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: malformed CSV: {exc}") from None
 
     rows.sort(key=lambda r: r[0])
     deduped = []

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DataError, NumericError
 from .market_data import TRADING_DAYS_PER_YEAR, PriceSeries
 from .stats import asset_stats, sharpe_ratio
+from .streams import uniform_rows
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -78,16 +78,54 @@ def portfolio_value_series(panel, weights, capital, name="portfolio"):
     return PriceSeries(name, panel.dates, values)
 
 
+def _normalize_rows(u):
+    """Divide each row of uniforms by its sum, in place.
+
+    A row summing to 0 (probability zero, but keep the contract total)
+    becomes equal weights.
+    """
+    total = u.sum(axis=1)
+    zero = total == 0.0
+    if zero.any():
+        u[zero] = 1.0
+        total[zero] = u.shape[1]
+    u /= total[:, None]
+    return u
+
+
 def random_weights(n_assets, rng):
     """Independent uniforms normalized by their sum."""
     if n_assets < 1:
         raise DataError("need at least one asset")
-    u = rng.random(n_assets)
-    total = u.sum()
-    if total == 0.0:  # probability zero, but keep the contract total
-        u = np.full(n_assets, 1.0)
-        total = float(n_assets)
-    return Weights(u / total)
+    return Weights(_normalize_rows(rng.random((1, n_assets)))[0])
+
+
+def trial_weights(seed, first, count, n_assets):
+    """Weights of trials first .. first+count-1, shape (count, n_assets).
+
+    Trial 0 is the equal-weight portfolio; trial i >= 1 is row i of the
+    seed's counter stream, normalized by its sum.
+    """
+    block = _normalize_rows(uniform_rows(seed, first, count, n_assets))
+    if first == 0:
+        block[0] = 1.0 / n_assets
+    return block
+
+
+def trial_stats(weights, mu_daily, cov_daily):
+    """Annualized return and risk for a block of weight vectors.
+
+    weights: (n_trials, n_assets); mu_daily: (n_assets,) mean daily log
+    returns; cov_daily: (n_assets, n_assets) sample covariance of daily
+    log returns. Returns (ret_annual, risk_annual) arrays of length
+    n_trials. Each row is summed on its own, in the same order whatever
+    the block size; a BLAS product would take another kernel for a
+    single row and round differently.
+    """
+    ret = (weights * mu_daily).sum(axis=1) * TRADING_DAYS_PER_YEAR
+    var = (np.einsum("ti,ij->tj", weights, cov_daily) * weights).sum(axis=1)
+    risk = np.sqrt(np.maximum(var, 0.0) * TRADING_DAYS_PER_YEAR)
+    return ret, risk
 
 
 def _calibrate(panel):
@@ -105,9 +143,7 @@ def portfolio_stats(panel, weights, risk_free):
     if len(weights) != len(panel.tickers):
         raise DataError("weights do not match panel tickers")
     mu_daily, cov_daily = _calibrate(panel)
-    ret, risk = _kernels.trial_stats(
-        weights.values[None, :], mu_daily, cov_daily, float(TRADING_DAYS_PER_YEAR)
-    )
+    ret, risk = trial_stats(weights.values[None, :], mu_daily, cov_daily)
     return PortfolioStats(float(ret[0]), float(risk[0]), sharpe_ratio(ret[0], risk[0], risk_free))
 
 
@@ -115,28 +151,25 @@ def optimize_max_sharpe(panel, n_trials, seed, risk_free, block_size=8192):
     """Best Sharpe among random-weight trials plus the equal-weight baseline.
 
     Trial 0 is always the equal-weight portfolio, so the result can never
-    be worse than it. Trial i >= 1 draws its weights from a stream seeded
-    by (seed, i): deterministic and order-independent.
+    be worse than it. Trial i >= 1 is row i of the seed's counter stream
+    (trial_weights): it depends on (seed, i) alone, so the result is the
+    same for every block size.
     """
-    if n_trials < 1:
-        raise DataError("need at least one trial")
+    if n_trials < 1 or block_size < 1:
+        raise DataError("need at least one trial and a block size >= 1")
     n = len(panel.tickers)
     mu_daily, cov_daily = _calibrate(panel)
 
     best_sharpe = -math.inf
     best_weights = None
     best_ret = best_risk = 0.0
-    trial = 0
-    while trial <= n_trials:
-        count = min(block_size, n_trials + 1 - trial)
-        block = np.empty((count, n))
-        for k in range(count):
-            i = trial + k
-            if i == 0:
-                block[k] = 1.0 / n
-            else:
-                block[k] = random_weights(n, np.random.default_rng([seed, i])).values
-        ret, risk = _kernels.trial_stats(block, mu_daily, cov_daily, float(TRADING_DAYS_PER_YEAR))
+    for first in range(0, n_trials + 1, block_size):
+        count = min(block_size, n_trials + 1 - first)
+        block = trial_weights(seed, first, count, n)
+        # the Weights contract, checked once per block
+        if (block < 0).any() or (np.abs(block.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL).any():
+            raise DataError("trial weights are not nonnegative fractions summing to 1")
+        ret, risk = trial_stats(block, mu_daily, cov_daily)
         ok = risk > 0
         if ok.any():
             sharpe = np.where(ok, (ret - risk_free) / np.where(ok, risk, 1.0), -math.inf)
@@ -145,7 +178,6 @@ def optimize_max_sharpe(panel, n_trials, seed, risk_free, block_size=8192):
                 best_sharpe = float(sharpe[k])
                 best_weights = block[k].copy()
                 best_ret, best_risk = float(ret[k]), float(risk[k])
-        trial += count
 
     if best_weights is None:
         raise NumericError("undefined Sharpe for every trial (zero variance)")

@@ -2,12 +2,14 @@ import csv
 import datetime as dt
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gbmfolio
@@ -255,6 +257,31 @@ class TestUsageAndConfig:
         )
         assert rc == 2
 
+    def test_seed_above_128_bits(self, universe_dir, tmp_path):
+        # subject seeds are (seed << 32) ^ crc32: 132 bits here
+        rc, stderr = run_process(
+            "--data-dir", str(universe_dir), "--out-dir", str(tmp_path), "--seed", str(2**100),
+            "--paths", "10", "simulate", "--subject", "SYN00",
+        )
+        assert rc == 0, stderr
+
+    @pytest.mark.parametrize("target", ["price file", "config"])
+    def test_non_utf8_input_exits_2(self, universe_dir, tmp_path, target):
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\n")
+        bad = data / "SYN00.csv" if target == "price file" else cfg
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        rc, stderr = run_process(
+            "--config", str(cfg), "--data-dir", str(data), "--out-dir", str(tmp_path / "out"),
+            "--paths", "10", "simulate", "--subject", "SYN00",
+        )
+        assert rc == 2
+        assert "Traceback" not in stderr
+        assert stderr.splitlines()[-1].startswith("data error:")
+        assert "UTF-8" in stderr
+
     def test_bad_config_line_is_data_error(self, universe_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense line\n")
@@ -279,6 +306,18 @@ class TestReport:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["command"] == "report"
         assert set(manifest["files"]) == names - {"run_manifest.json"}
+
+    def test_manifest_names_streams_and_versions(self, universe_dir, tmp_path):
+        rc = run(universe_dir, tmp_path, "--paths", "10", "simulate", "--subject", "SYN00")
+        assert rc == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert "backend" not in manifest
+        assert manifest["streams"] == "philox-counter-v1"
+        assert manifest["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "gbmfolio": gbmfolio.__version__,
+        }
 
     def test_manifest_lists_only_files_of_this_run(self, universe_dir, tmp_path):
         (tmp_path / "stale.csv").write_text("left,over\n")

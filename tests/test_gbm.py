@@ -7,11 +7,15 @@ from gbmfolio.errors import DataError
 from gbmfolio.gbm import (
     GbmParams,
     SimulationConfig,
+    _ensemble_normals,
+    box_muller,
     envelope,
     gbm_path,
+    gbm_paths,
     simulate_ensemble,
     wiener_increments,
 )
+from gbmfolio.streams import uniform_rows
 
 
 class TestWienerIncrements:
@@ -68,6 +72,67 @@ class TestGbmPath:
             GbmParams(1.0, 0.0, -0.01)
         with pytest.raises(DataError):
             GbmParams(1.0, 0.0, 0.01, dt=0.0)
+
+
+class TestGbmPaths:
+    def test_closed_form_oracle(self, rng):
+        # S(k) = s0 * exp(sum_{j<=k} (mu - sigma^2/2) dt + sigma sqrt(dt) z_j), step by step
+        s0, mu, sigma, dt = 50.0, 0.001, 0.02, 0.5
+        normals = rng.standard_normal((3, 10))
+        out = gbm_paths(s0, mu, sigma, dt, normals)
+        assert out.shape == (3, 11)
+        for i in range(3):
+            assert out[i, 0] == s0
+            log_rel = 0.0
+            for k in range(10):
+                log_rel += (mu - sigma * sigma / 2) * dt + sigma * math.sqrt(dt) * normals[i, k]
+                assert out[i, k + 1] == pytest.approx(s0 * math.exp(log_rel), rel=1e-12)
+
+
+class TestPathStream:
+    """Path i is row i of the seed's stream, turned into normals by Box-Muller."""
+
+    HORIZON = 247
+    WIDTH = 248  # 2 * ceil(247 / 2) uniforms per path
+
+    def test_row_alone_equals_row_in_block(self):
+        seed = 2**100 + 3  # a subject seed wider than 128 bits
+        block = uniform_rows(seed, 0, 8192, self.WIDTH)
+        for i in (0, 1, 2, 1000, 8191):
+            assert np.array_equal(uniform_rows(seed, i, 1, self.WIDTH)[0], block[i])
+        assert np.array_equal(uniform_rows(seed, 4000, 100, self.WIDTH), block[4000:4100])
+
+    def test_ensemble_path_drawn_alone(self):
+        params = GbmParams(100.0, 0.0004, 0.01)
+        config = SimulationConfig(500, self.HORIZON, 42)
+        paths = simulate_ensemble(params, config).paths
+        for i in (0, 1, 499):
+            normals = box_muller(uniform_rows(42, i, 1, self.WIDTH), self.HORIZON)
+            alone = gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals)[0]
+            assert np.array_equal(alone, paths[i])
+
+    def test_box_muller_moments(self):
+        z = _ensemble_normals(SimulationConfig(4000, 250, 2024)).ravel()
+        assert z.size == 1_000_000
+        assert abs(z.mean()) <= 3 / math.sqrt(z.size)
+        assert z.std() == pytest.approx(1.0, rel=0.01)
+        kurtosis = ((z - z.mean()) ** 4).mean() / z.var() ** 2
+        assert kurtosis == pytest.approx(3.0, abs=0.05)
+
+    def test_box_muller_finite_at_zero_uniform(self):
+        u = np.zeros((1, 4))
+        assert np.array_equal(box_muller(u, 3), np.zeros((1, 3)))
+
+    def test_odd_horizon_uses_padded_row(self):
+        normals = _ensemble_normals(SimulationConfig(3, 5, 1))
+        assert normals.shape == (3, 5)
+        assert np.all(np.isfinite(normals))
+
+    def test_negative_seed_is_data_error(self):
+        with pytest.raises(DataError, match="seed"):
+            SimulationConfig(seed=-1)
+        with pytest.raises(DataError, match="seed"):
+            uniform_rows(-1, 0, 1, 4)
 
 
 class TestEnsemble:

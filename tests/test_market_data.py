@@ -1,7 +1,10 @@
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbmfolio.errors import DataError
 from gbmfolio.market_data import (
@@ -79,6 +82,56 @@ class TestLoadCsv:
         s = load_csv(path, "A")
         assert s.dates[0] < s.dates[1]
         assert list(s.prices) == [10.0, 11.0]
+
+
+    def test_non_utf8_file_is_data_error(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(HEADER.encode() + b"2019-01-02,1,1,1,1,\xff10.0,0\n")
+        with pytest.raises(DataError, match="UTF-8"):
+            load_csv(path, "A")
+
+    def test_oversized_field_is_data_error(self, tmp_path):
+        # longer than the csv module's field size limit
+        path = tmp_path / "a.csv"
+        path.write_text(HEADER + "2019-01-02,1,1,1,1,\"" + "1" * 200_000 + "\",0\n")
+        with pytest.raises(DataError, match="CSV"):
+            load_csv(path, "A")
+
+
+# a line of a price file: mostly well-formed, sometimes not
+CSV_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from(["2019-01-02", "2019-01-03", "2019-01-04", "2019-13-01", "", "x"]),
+        st.sampled_from(["10.0", "-1", "0", "nan", "inf", "1e999", "", "abc"]),
+    ).map(lambda r: f"{r[0]},{r[1]}"),
+    st.text(max_size=30),
+)
+CSV_FILES = st.one_of(
+    st.binary(max_size=300),
+    st.lists(CSV_LINE, max_size=8).map(lambda ls: "Date,Adj Close\n" + "\n".join(ls)),
+    st.text(max_size=200),
+)
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("hypothesis") / "input.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=CSV_FILES)
+def test_load_csv_accepts_or_raises_data_error(input_file, content):
+    if isinstance(content, str):
+        content = content.encode("utf-8", "surrogatepass")
+    input_file.write_bytes(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            s = load_csv(input_file, "A")
+        except DataError:
+            return
+    assert len(s) >= 2
+    assert all(a < b for a, b in zip(s.dates, s.dates[1:]))
 
 
 class TestPriceSeriesInvariants:

@@ -12,8 +12,11 @@ from gbmfolio.portfolio import (
     portfolio_value_series,
     random_weights,
     rank_and_group,
+    trial_stats,
+    trial_weights,
 )
 from gbmfolio.stats import asset_stats
+from gbmfolio.streams import uniform_rows
 
 from conftest import series
 
@@ -125,6 +128,20 @@ class TestPortfolioStats:
         with pytest.raises(NumericError):
             portfolio_stats(panel, Weights([1.0]), RISK_FREE)
 
+    def test_trial_stats_loop_oracle(self, rng):
+        n = 7
+        weights = rng.random((50, n))
+        weights /= weights.sum(axis=1, keepdims=True)
+        mu = rng.standard_normal(n) * 1e-3
+        m = rng.standard_normal((n, n)) * 1e-2
+        cov = m @ m.T
+        ret, risk = trial_stats(weights, mu, cov)
+        for t, w in enumerate(weights):
+            r = sum(w[i] * mu[i] for i in range(n))
+            var = sum(w[i] * cov[i, j] * w[j] for i in range(n) for j in range(n))
+            assert ret[t] == pytest.approx(r * 252, rel=1e-12)
+            assert risk[t] == pytest.approx(math.sqrt(var * 252), rel=1e-12)
+
 
 def dominant_pair_panel(n=300, sigma=0.012, shift=0.002, seed=99):
     """Two assets with correlation 1 and equal sigma; A's drift is higher."""
@@ -173,6 +190,56 @@ class TestOptimizeMaxSharpe:
         panel = panel_from_columns({"A": [5, 5, 5, 5]})
         with pytest.raises(NumericError):
             optimize_max_sharpe(panel, 10, seed=0, risk_free=RISK_FREE)
+
+
+class TestTrialStream:
+    """Trial i >= 1 is row i of the seed's stream, normalized by its sum."""
+
+    def test_row_alone_equals_row_in_block(self):
+        block = uniform_rows(11, 0, 8192, 13)
+        weights = trial_weights(11, 0, 8192, 13)
+        for i in (0, 1, 2, 5000, 8191):
+            assert np.array_equal(uniform_rows(11, i, 1, 13)[0], block[i])
+        for i in (1, 2, 5000, 8191):
+            assert np.array_equal(trial_weights(11, i, 1, 13)[0], weights[i])
+
+    def test_trial_zero_is_equal_weight(self):
+        assert np.array_equal(trial_weights(5, 0, 3, 4)[0], np.full(4, 0.25))
+
+    def test_block_size_one_equals_8192(self, rng):
+        panel = panel_from_columns({f"T{i}": gbm_prices(rng, 60, 0.001, 0.02) for i in range(5)})
+        one = optimize_max_sharpe(panel, 400, seed=8, risk_free=RISK_FREE, block_size=1)
+        big = optimize_max_sharpe(panel, 400, seed=8, risk_free=RISK_FREE, block_size=8192)
+        assert np.array_equal(one[0].values, big[0].values)
+        assert one[1] == big[1]
+
+    def test_trial_stats_row_alone_equals_row_in_block(self, rng):
+        n = 13
+        weights = trial_weights(4, 0, 500, n)
+        m = rng.standard_normal((n, n)) * 1e-2
+        mu, cov = rng.standard_normal(n) * 1e-3, m @ m.T
+        ret, risk = trial_stats(weights, mu, cov)
+        for i in range(len(weights)):
+            alone = trial_stats(weights[i : i + 1], mu, cov)
+            assert (alone[0][0], alone[1][0]) == (ret[i], risk[i])
+
+    def test_weight_coordinate_means(self):
+        n, count = 5, 200_000
+        weights = trial_weights(2024, 1, count, n)
+        assert np.all(weights >= 0)
+        assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+        se = weights.std(axis=0, ddof=1) / math.sqrt(count)
+        assert np.all(np.abs(weights.mean(axis=0) - 1 / n) <= 3 * se)
+
+    def test_seed_wider_than_128_bits(self, rng):
+        panel = panel_from_columns({f"T{i}": gbm_prices(rng, 60, 0.001, 0.02) for i in range(3)})
+        weights, _ = optimize_max_sharpe(panel, 50, seed=2**140 + 1, risk_free=RISK_FREE)
+        assert weights.values.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_negative_seed_is_data_error(self, rng):
+        panel = panel_from_columns({f"T{i}": gbm_prices(rng, 60, 0.001, 0.02) for i in range(3)})
+        with pytest.raises(DataError, match="seed"):
+            optimize_max_sharpe(panel, 10, seed=-1, risk_free=RISK_FREE)
 
 
 class TestRankAndGroup:
