@@ -34,7 +34,6 @@ from .market_data import (
     slice_period,
 )
 from .portfolio import (
-    Portfolio,
     PortfolioGroup,
     PortfolioStats,
     Weights,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric error.
 """
 
 import argparse
+import bisect
 import datetime as dt
 import hashlib
 import json
@@ -100,7 +101,7 @@ def _summary_rows(reports):
 # the pipeline: each stage is computed on first use, at most once per run
 
 class Group:
-    """One ranked group of the universe; its weights are found on first use."""
+    """One ranked group of the universe; its weights and value are found on first use."""
 
     def __init__(self, run, metric, index, members):
         self.run = run
@@ -123,6 +124,7 @@ class Group:
         )
         return weights
 
+    @cached_property
     def value_series(self):
         """Buy-and-hold value of the group over the run's whole window."""
         return portfolio_value_series(
@@ -133,36 +135,19 @@ class Group:
         )
 
 
-class Ranking:
-    """The universe ranked by one metric and cut into groups, on first use."""
-
-    def __init__(self, run, metric):
-        self.run = run
-        self.metric = metric
-
-    @cached_property
-    def groups(self):
-        config = self.run.config
-        grouping = rank_and_group(
-            self.run.calibration_panel,
-            self.metric,
-            config.risk_free,
-            group_count=config.group_count,
-            group_size=config.group_size,
-        )
-        return tuple(
-            Group(self.run, self.metric, index, members)
-            for index, members in enumerate(grouping.groups)
-        )
-
-
 class Run:
     """One invocation of the pipeline; the commands choose what it writes.
 
     `tickers` is every CSV in the data directory unless the command names
-    its own; the panel of a one-ticker run is that ticker's own series.
-    Only the stages a command's outputs need are computed, and the
-    manifest lists exactly the files this run wrote.
+    its own. Only the stages a command's outputs need are computed, and
+    the manifest lists exactly the files this run wrote.
+
+    One data rule holds for every output. A ticker's numbers (its row of
+    stats.csv, its place in the rankings, its forecast) come from its own
+    file over its own dates, so they do not depend on which other tickers
+    the run reads. A group is priced on the universe's inner-joined
+    panel, because a buy-and-hold portfolio needs every member priced on
+    every day.
     """
 
     def __init__(self, config, tickers=None):
@@ -170,7 +155,8 @@ class Run:
         self.out_dir = Path(config.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.written = []
-        self.rankings = {metric: Ranking(self, metric) for metric in METRICS}
+        self._stats = {}
+        self._groups = {}
         if tickers is not None:
             self.tickers = tuple(tickers)
 
@@ -196,27 +182,11 @@ class Run:
         }
 
     @cached_property
-    def calibration_series(self):
-        """Each ticker's own (unaligned) calibration window, for stats.csv.
-
-        A run that needs it and the panel builds it first: the panel
-        releases the per-ticker series.
-        """
-        c = self.config
-        return {
-            t: slice_period(s, c.calibration_start, c.calibration_end)
-            for t, s in self.series.items()
-        }
-
-    @cached_property
     def panel(self):
         """Every ticker inner-joined over calibration_start..evaluation_end."""
         c = self.config
-        series = self.series
-        del self.__dict__["series"]  # later stages read the panel
-        return slice_panel(
-            align_panel([series[t] for t in self.tickers]), c.calibration_start, c.evaluation_end
-        )
+        panel = align_panel([self.series[t] for t in self.tickers])
+        return slice_panel(panel, c.calibration_start, c.evaluation_end)
 
     @cached_property
     def calibration_panel(self):
@@ -224,14 +194,40 @@ class Run:
         return slice_panel(self.panel, c.calibration_start, c.calibration_end)
 
     def subject_series(self, subject):
-        """A subject's prices over the whole window: a panel column or a group's value."""
+        """A subject's prices over the whole window: a ticker's own or a group's value."""
         ref = _parse_subject(subject)
         if ref is None:
-            return self.panel.column(subject)
+            return self.series[subject]
         metric, index = ref
         if not 0 <= index < self.config.group_count:
             raise DataError(f"group index out of range in {subject!r}")
-        return self.rankings[metric].groups[index].value_series()
+        return self.groups(metric)[index].value_series
+
+    def calibration_stats(self, subject):
+        """A subject's AssetStats over its calibration window, once per run."""
+        stats = self._stats.get(subject)
+        if stats is None:
+            c = self.config
+            series = self.subject_series(subject)
+            calib = slice_period(series, c.calibration_start, c.calibration_end)
+            stats = self._stats[subject] = asset_stats(calib, c.risk_free)
+        return stats
+
+    def groups(self, metric):
+        """The tickers ranked by stats.csv's `metric` and cut into groups, once per run."""
+        if metric not in self._groups:
+            c = self.config
+            grouping = rank_and_group(
+                [self.calibration_stats(t) for t in self.tickers],
+                metric,
+                group_count=c.group_count,
+                group_size=c.group_size,
+            )
+            self._groups[metric] = tuple(
+                Group(self, metric, index, members)
+                for index, members in enumerate(grouping.groups)
+            )
+        return self._groups[metric]
 
     def forecast(self, subject):
         """Calibrate, simulate and score one subject against realized prices.
@@ -240,19 +236,20 @@ class Run:
         simulation's day 0) and runs max-horizon days beyond it.
         """
         c = self.config
+        stats = self.calibration_stats(subject)
         series = self.subject_series(subject)
-        calib = slice_period(series, c.calibration_start, c.calibration_end)
+        day0 = bisect.bisect_right(series.dates, c.calibration_end) - 1  # last calibration day
+        s0 = float(series.prices[day0])
         evaluation = slice_period(series, c.evaluation_start, c.evaluation_end)
         max_h = max(h.days for h in c.horizons)
         if len(evaluation) < max_h:
             raise DataError(f"{subject}: evaluation window shorter than horizon {max_h}")
         actual = PriceSeries(
             subject,
-            (calib.dates[-1],) + evaluation.dates[:max_h],
-            np.concatenate(([calib.prices[-1]], evaluation.prices[:max_h])),
+            (series.dates[day0],) + evaluation.dates[:max_h],
+            np.concatenate(([s0], evaluation.prices[:max_h])),
         )
-        stats = asset_stats(calib, c.risk_free)
-        params = GbmParams(s0=float(calib.prices[-1]), mu=stats.mu_daily, sigma=stats.sigma_daily)
+        params = GbmParams(s0=s0, mu=stats.mu_daily, sigma=stats.sigma_daily)
         sim = SimulationConfig(n_paths=c.n_paths, horizon=max_h, seed=_subject_seed(c, subject))
         paths = simulate_ensemble(params, sim)
         report = evaluate_ensemble(paths, actual, c.horizons, denominator=c.mape_denominator)
@@ -268,10 +265,10 @@ class Run:
         self.written.append(name)
 
     def write_stats(self):
-        rows = []
-        for ticker in self.tickers:
-            s = asset_stats(self.calibration_series[ticker], self.config.risk_free)
-            rows.append((s.ticker, s.return_annual, s.risk_annual, s.sharpe))
+        rows = [
+            (s.ticker, s.return_annual, s.risk_annual, s.sharpe)
+            for s in map(self.calibration_stats, self.tickers)
+        ]
         self.write_csv("stats.csv", ["ticker", "return_annual", "risk_annual", "sharpe"], rows)
         with open(self.out_dir / "stats.txt", "w", encoding="utf-8") as fh:
             fh.write(f"{'ticker':<10}{'return':>12}{'risk':>12}{'sharpe':>10}\n")
@@ -281,7 +278,7 @@ class Run:
         self.written.append("stats.txt")
 
     def write_groups(self, metric):
-        groups = self.rankings[metric].groups
+        groups = self.groups(metric)
         rows = [
             (g + 1, rank + 1, ticker)
             for g, group in enumerate(groups)

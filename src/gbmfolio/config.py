@@ -1,6 +1,7 @@
 """Run configuration: defaults, flat key=value config files, flag overrides."""
 
 import datetime as dt
+import math
 from dataclasses import dataclass, replace
 
 from .errors import DataError
@@ -33,6 +34,8 @@ class RunConfig:
             raise DataError("group count and size must be >= 1")
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
+        if not math.isfinite(self.risk_free):
+            raise DataError(f"risk_free must be finite, got {self.risk_free}")
         if self.mape_denominator not in MAPE_DENOMINATORS:
             raise DataError(f"unknown mape_denominator {self.mape_denominator!r}")
 

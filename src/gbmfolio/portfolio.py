@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .market_data import TRADING_DAYS_PER_YEAR, PriceSeries
-from .stats import asset_stats, sharpe_ratio
+from .stats import sharpe_ratio
 from .streams import uniform_rows
 
 WEIGHT_SUM_TOL = 1e-9
@@ -42,18 +42,6 @@ class Weights:
 
 
 @dataclass(frozen=True)
-class Portfolio:
-    tickers: tuple
-    weights: Weights
-    capital: float
-    value_series: PriceSeries
-
-    def __post_init__(self):
-        if len(self.tickers) != len(self.weights):
-            raise DataError("tickers and weights length mismatch")
-
-
-@dataclass(frozen=True)
 class PortfolioStats:
     return_annual: float
     risk_annual: float
@@ -66,7 +54,6 @@ class PortfolioGroup:
 
     metric: str  # "return", "risk" or "sharpe"
     groups: tuple  # tuple of tuples of tickers
-    direction: str = "descending"
 
 
 def portfolio_value_series(panel, weights, capital, name="portfolio"):
@@ -196,17 +183,16 @@ def _metric_value(stats, metric):
     raise DataError(f"unknown metric {metric!r}")
 
 
-def rank_and_group(universe, metric, risk_free, group_count=6, group_size=13):
-    """Sort the universe descending by a per-asset metric and chunk it.
+def rank_and_group(stats, metric, group_count=6, group_size=13):
+    """Sort per-asset stats descending by a metric and chunk their tickers.
 
-    Ties break by ticker so the grouping is deterministic. The universe
-    size must equal group_count * group_size.
+    Ties break by ticker so the grouping is deterministic. The number of
+    assets must equal group_count * group_size.
     """
-    n = len(universe.tickers)
+    n = len(stats)
     if n != group_count * group_size:
         raise DataError(f"universe of {n} tickers does not split into {group_count}x{group_size}")
-    per_asset = [asset_stats(universe.column(t), risk_free) for t in universe.tickers]
-    ranked = sorted(per_asset, key=lambda s: (-_metric_value(s, metric), s.ticker))
+    ranked = sorted(stats, key=lambda s: (-_metric_value(s, metric), s.ticker))
     groups = tuple(
         tuple(s.ticker for s in ranked[g * group_size : (g + 1) * group_size])
         for g in range(group_count)

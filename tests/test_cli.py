@@ -224,6 +224,8 @@ class TestUsageAndConfig:
             (["--seed", "-1"], 2, "data error: seed must be >= 0"),
             (["--calibration-start", "2016-13-01"], 1, "error: argument --calibration-start"),
             (["--horizons", "1w:x"], 1, "error: argument --horizons"),
+            (["--risk-free", "nan"], 2, "data error: risk_free must be finite"),
+            (["--risk-free", "inf"], 2, "data error: risk_free must be finite"),
         ],
     )
     def test_bad_flag_value_exits_without_traceback(
@@ -236,6 +238,18 @@ class TestUsageAndConfig:
         assert rc == code
         assert "Traceback" not in stderr
         assert stderr.splitlines()[-1].startswith(message)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_risk_free_in_config_exits_2(self, universe_dir, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"risk_free = {value}\n")
+        rc, stderr = run_process(
+            "--config", str(cfg), "--data-dir", str(universe_dir), "--out-dir", str(tmp_path),
+            "stats", "SYN00",
+        )
+        assert rc == 2
+        assert "Traceback" not in stderr
+        assert stderr.splitlines()[-1].startswith("data error: risk_free must be finite")
 
     def test_unknown_mape_denominator_rejected(self, universe_dir, tmp_path):
         with pytest.raises(DataError, match="mape_denominator"):
@@ -350,12 +364,14 @@ class TestPipeline:
 
             monkeypatch.setattr(cli, name, counted)
 
-        for name in ("load_csv", "align_panel", "rank_and_group", "optimize_max_sharpe"):
+        names = ("load_csv", "align_panel", "asset_stats", "rank_and_group", "optimize_max_sharpe")
+        for name in names:
             count(name)
         assert run(universe_dir, tmp_path, *self.FLAGS, "report") == 0
         n_files = len(list(universe_dir.glob("*.csv")))
         assert calls == {
             "load_csv": n_files, "align_panel": 1, "rank_and_group": 3, "optimize_max_sharpe": 3,
+            "asset_stats": n_files + 3 * 3,  # each ticker, then each of the 3x3 group subjects
         }
 
     def test_commands_are_views_of_report(self, universe_dir, tmp_path):
@@ -376,6 +392,30 @@ class TestPipeline:
             viewed |= set(manifest["files"])
         report = json.loads((tmp_path / "report" / "run_manifest.json").read_text())
         assert viewed == set(report["files"])
+
+    def test_a_ticker_is_calibrated_on_its_own_dates_in_every_run(self, universe_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        # a gap in another ticker's calibration window shrinks the inner-joined panel
+        gap = data / "SYN03.csv"
+        lines = gap.read_text().splitlines(keepends=True)
+        gap.write_text("".join(line for line in lines if not line.startswith("2017-06")))
+        views = {
+            "alone": ["simulate", "--subject", "SYN00"],
+            "all": ["simulate", "--subject", "all"],
+            "report": ["report"],
+        }
+        for name, command in views.items():
+            assert run(data, tmp_path / name, *self.FLAGS, *command) == 0
+        for file in ("report_SYN00.csv", "envelope_SYN00.csv"):
+            outputs = {(tmp_path / name / file).read_bytes() for name in views}
+            assert len(outputs) == 1, file
+        stats = read_rows(tmp_path / "report" / "stats.csv")
+        for metric, column in (("return", "return_annual"), ("risk", "risk_annual"),
+                               ("sharpe", "sharpe")):
+            ranked = sorted(stats, key=lambda r: (-float(r[column]), r["ticker"]))
+            groups = read_rows(tmp_path / "report" / f"groups_{metric}.csv")
+            assert [r["ticker"] for r in groups] == [r["ticker"] for r in ranked], metric
 
     def test_single_ticker_commands_read_only_their_file(self, universe_dir, tmp_path):
         data = tmp_path / "data"

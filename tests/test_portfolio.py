@@ -251,9 +251,12 @@ class TestRankAndGroup:
             cols[f"T{i}"] = gbm_prices(rng, 400, mu, sigma)
         return panel_from_columns(cols)
 
+    def universe_stats(self, universe):
+        return [asset_stats(universe.column(t), RISK_FREE) for t in universe.tickers]
+
     def test_singleton_groups_descending_by_return(self, rng):
         universe = self.make_universe(rng, 6)
-        pg = rank_and_group(universe, "return", RISK_FREE, group_count=6, group_size=1)
+        pg = rank_and_group(self.universe_stats(universe), "return", group_count=6, group_size=1)
         rets = [asset_stats(universe.column(g[0]), RISK_FREE).return_annual for g in pg.groups]
         assert rets == sorted(rets, reverse=True)
 
@@ -264,18 +267,18 @@ class TestRankAndGroup:
             "C": gbm_prices(rng, 400, 0.0, 0.1 / math.sqrt(252)),
         }
         universe = panel_from_columns(cols)
-        pg = rank_and_group(universe, "risk", RISK_FREE, group_count=3, group_size=1)
+        pg = rank_and_group(self.universe_stats(universe), "risk", group_count=3, group_size=1)
         assert pg.groups == (("A",), ("B",), ("C",))
 
     def test_tie_breaks_lexicographically(self):
         prices = [10.0, 11.0, 10.5, 12.0]
         universe = panel_from_columns({"ZZZ": prices, "AAA": prices})
-        pg = rank_and_group(universe, "return", RISK_FREE, group_count=2, group_size=1)
+        pg = rank_and_group(self.universe_stats(universe), "return", group_count=2, group_size=1)
         assert pg.groups == (("AAA",), ("ZZZ",))
 
     def test_partition_and_sortedness(self, rng):
         universe = self.make_universe(rng, 12)
-        pg = rank_and_group(universe, "sharpe", RISK_FREE, group_count=4, group_size=3)
+        pg = rank_and_group(self.universe_stats(universe), "sharpe", group_count=4, group_size=3)
         flat = [t for g in pg.groups for t in g]
         assert sorted(flat) == sorted(universe.tickers)
         sharpes = [asset_stats(universe.column(t), RISK_FREE).sharpe for t in flat]
@@ -284,4 +287,4 @@ class TestRankAndGroup:
     def test_divisibility_error(self, rng):
         universe = self.make_universe(rng, 5)
         with pytest.raises(DataError):
-            rank_and_group(universe, "return", RISK_FREE, group_count=2, group_size=3)
+            rank_and_group(self.universe_stats(universe), "return", group_count=2, group_size=3)
