@@ -16,6 +16,7 @@ import datetime as dt
 import hashlib
 import json
 import platform
+import re
 import sys
 import zlib
 from dataclasses import asdict, fields
@@ -36,6 +37,10 @@ import numpy as np
 
 METRICS = ("return", "risk", "sharpe")
 ENVELOPE_QUANTILES = (0.05, 0.95)
+
+# a ticker names a file and is written unquoted into CSVs
+_TICKER = re.compile(r"[A-Za-z0-9^][A-Za-z0-9.^=-]*")
+_GROUP_SUBJECT = re.compile(rf"({'|'.join(METRICS)})-([0-9]+)")
 
 
 def _fmt(x):
@@ -60,17 +65,34 @@ def _subject_seed(config, name):
     return (config.seed << 32) ^ zlib.crc32(name.encode())
 
 
+def _ticker_error(name):
+    """Why `name` cannot be a ticker, or None if it can."""
+    if not _TICKER.fullmatch(name):
+        return "a ticker is letters, digits and . - ^ =, starting with a letter, a digit or ^"
+    if name in ("all", "MEAN") or _GROUP_SUBJECT.fullmatch(name):
+        return "all, MEAN and <metric>-<n> name subjects, not tickers"
+    return None
+
+
+def _ticker_arg(text):
+    error = _ticker_error(text)
+    if error:
+        raise ValueError(f"{text!r}: {error}")
+    return text
+
+
+def _subject_arg(text):
+    match = _GROUP_SUBJECT.fullmatch(text)
+    if match and match[2].startswith("0"):
+        # sharpe-02 would be group 2 under another name, and another seed
+        raise ValueError(f"{text!r}: groups are numbered from 1, without leading zeros")
+    return text if text == "all" or match else _ticker_arg(text)
+
+
 def _parse_subject(subject):
     """(metric, index) of a group subject such as sharpe-2; None for a ticker."""
-    for metric in METRICS:
-        prefix = metric + "-"
-        if subject.startswith(prefix):
-            try:
-                index = int(subject[len(prefix):]) - 1
-            except ValueError:
-                raise DataError(f"bad group subject {subject!r}") from None
-            return metric, index
-    return None
+    match = _GROUP_SUBJECT.fullmatch(subject)
+    return match and (match[1], int(match[2]) - 1)
 
 
 def _columns(panel, tickers):
@@ -165,6 +187,10 @@ class Run:
         paths = sorted(Path(self.config.data_dir).glob("*.csv"))
         if not paths:
             raise DataError(f"no CSV files in {self.config.data_dir}")
+        for path in paths:
+            error = _ticker_error(path.stem)
+            if error:
+                raise DataError(f"{path}: file name is not a ticker: {error}")
         return tuple(p.stem for p in paths)
 
     @cached_property
@@ -178,7 +204,7 @@ class Run:
             t: slice_period(
                 load_csv(Path(c.data_dir) / f"{t}.csv", t), c.calibration_start, c.evaluation_end
             )
-            for t in dict.fromkeys(self.tickers)
+            for t in self.tickers
         }
 
     @cached_property
@@ -258,10 +284,13 @@ class Run:
     # -- outputs ------------------------------------------------------------
 
     def write_csv(self, name, header, rows):
+        self.write_lines(name, header, (",".join(map(_fmt, row)) + "\n" for row in rows))
+
+    def write_lines(self, name, header, lines):
+        """A CSV file of the given header and already formatted lines."""
         with open(self.out_dir / name, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(lines)
         self.written.append(name)
 
     def write_stats(self):
@@ -302,12 +331,20 @@ class Run:
         self.write_csv(
             f"report_{subject}.csv", ["horizon", "days", "mean_correlation", "mape", "band"], rows
         )
-        rows = [
-            (k, day.isoformat(), price, band.mean[k], band.lower[k], band.upper[k])
-            for k, (day, price) in enumerate(zip(actual.dates, actual.prices))
-        ]
-        self.write_csv(
-            f"envelope_{subject}.csv", ["day_index", "date", "actual", "mean", "q05", "q95"], rows
+        columns = zip(
+            actual.dates,
+            actual.prices.tolist(),
+            band.mean.tolist(),
+            band.lower.tolist(),
+            band.upper.tolist(),
+        )
+        self.write_lines(
+            f"envelope_{subject}.csv",
+            ["day_index", "date", "actual", "mean", "q05", "q95"],
+            (
+                f"{k},{day.isoformat()},{price:.12g},{mean:.12g},{lower:.12g},{upper:.12g}\n"
+                for k, (day, price, mean, lower, upper) in enumerate(columns)
+            ),
         )
         return report
 
@@ -345,7 +382,7 @@ def run_command(config, args):
     """Write the outputs the parsed command asks for, then the manifest."""
     command = args.command
     if command == "stats":
-        run = Run(config, args.tickers)
+        run = Run(config, args.tickers or None)  # no tickers: the whole universe
         run.write_stats()
     elif command == "group":
         run = Run(config)
@@ -415,11 +452,16 @@ def build_parser():
 
     sub = parser.add_subparsers(dest="command", required=True)
     p_stats = sub.add_parser("stats", help="per-asset return/risk/Sharpe table")
-    p_stats.add_argument("tickers", nargs="*")
+    p_stats.add_argument(
+        "tickers", nargs="*", type=_flag_value(_ticker_arg), help="default: every ticker"
+    )
     p_group = sub.add_parser("group", help="ranked grouping of the universe")
     p_group.add_argument("--metric", required=True, choices=METRICS)
     p_sim = sub.add_parser("simulate", help="simulate and evaluate forecasts")
-    p_sim.add_argument("--subject", required=True, help="ticker, <metric>-<n>, or all")
+    p_sim.add_argument(
+        "--subject", required=True, type=_flag_value(_subject_arg),
+        help="ticker, <metric>-<n>, or all",
+    )
     sub.add_parser("report", help="full pipeline over the whole universe")
     return parser
 
@@ -432,7 +474,10 @@ def _resolve_config(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "stats" and len(set(args.tickers)) < len(args.tickers):
+        parser.error("stats: a ticker is named more than once")
     try:
         run_command(_resolve_config(args), args)
     except DataError as exc:

@@ -4,12 +4,21 @@ Prices come from CSV files in the common daily-export layout
 (Date, Open, High, Low, Close, Adj Close, Volume); the adjusted close
 is used as the price. Dates are opaque ordered labels: whatever trading
 days the data contains define the calendar.
+
+Each distinct date text is parsed once per process, so every series that
+holds a trading day holds the same `datetime.date` object for it. Date
+axes are sorted tuples: windows are cut by bisection and series on the
+same axis are aligned without a lookup.
 """
 
 import csv
 import datetime as dt
+import functools
+import io
 import math
+import operator
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +51,8 @@ class PriceSeries:
             raise DataError(f"{self.ticker}: insufficient data (need >= 2 rows)")
         if not np.all(np.isfinite(prices)) or np.any(prices <= 0):
             raise DataError(f"{self.ticker}: prices must be positive and finite")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if not a < b:
-                raise DataError(f"{self.ticker}: dates not strictly increasing")
+        if not _increasing(self.dates):
+            raise DataError(f"{self.ticker}: dates not strictly increasing")
 
     def __len__(self):
         return len(self.prices)
@@ -69,18 +77,41 @@ class PricePanel:
         if not np.all(np.isfinite(matrix)) or np.any(matrix <= 0):
             raise DataError("panel prices must be positive and finite")
 
-    def column(self, ticker):
-        """The PriceSeries of one panel column."""
-        j = self.tickers.index(ticker)
-        return PriceSeries(ticker, self.dates, self.matrix[:, j])
+
+def _increasing(dates):
+    return all(map(operator.lt, dates, dates[1:]))
 
 
+@functools.lru_cache(maxsize=65536)
 def _parse_date(text):
+    # one date object per distinct text; a text that does not parse raises each time
     return dt.date.fromisoformat(text.strip())
 
 
+def _csv_rows(text):
+    """The rows csv.reader gives for `text`, as read from a file opened with newline="".
+
+    Without quotes, lone carriage returns, over-long lines or NUL (which
+    csv.reader rejects before Python 3.11), each line is one row, split at
+    every comma, and an empty line is an empty row; such text is split
+    directly, which is faster. Any other text goes to csv.reader.
+    """
+    plain = text.replace("\r\n", "\n")
+    lines = plain.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the last line's terminator starts no row
+    if (
+        '"' in plain
+        or "\r" in plain
+        or "\0" in plain
+        or max(map(len, lines), default=0) > csv.field_size_limit()
+    ):
+        return csv.reader(io.StringIO(text, newline=""))
+    return (line.split(",") if line else [] for line in lines)
+
+
 def _read_rows(reader, path, ticker):
-    """(date, price) of every usable row, in file order, after the header."""
+    """The dates and prices of every usable row, in file order, after the header."""
     try:
         header = next(reader)
     except StopIteration:
@@ -95,10 +126,11 @@ def _read_rows(reader, path, ticker):
     else:
         raise DataError(f"{path}: malformed header, no Adj Close/Close column")
     date_col = cols["date"]
+    last_col = max(date_col, price_col)
 
-    rows = []
+    dates, prices = [], []
     for row in reader:
-        if len(row) <= max(date_col, price_col):
+        if len(row) <= last_col:
             continue
         try:
             date = _parse_date(row[date_col])
@@ -111,8 +143,9 @@ def _read_rows(reader, path, ticker):
         if price <= 0:
             warnings.warn(f"{ticker}: dropping non-positive price on {row[date_col]}")
             continue
-        rows.append((date, price))
-    return rows
+        dates.append(date)
+        prices.append(price)
+    return dates, prices
 
 
 def load_csv(path, ticker):
@@ -130,39 +163,48 @@ def load_csv(path, ticker):
         raise DataError(f"cannot open price file {path}: {exc}") from exc
     with fh:
         try:
-            rows = _read_rows(csv.reader(fh), path, ticker)
+            dates, prices = _read_rows(_csv_rows(fh.read()), path, ticker)
         except UnicodeDecodeError:
             raise DataError(f"{path}: not UTF-8 text") from None
         except csv.Error as exc:
             raise DataError(f"{path}: malformed CSV: {exc}") from None
 
-    rows.sort(key=lambda r: r[0])
-    deduped = []
-    for date, price in rows:
-        if deduped and deduped[-1][0] == date:
+    if not _increasing(dates):
+        dates, prices = _sorted_first_per_date(dates, prices, ticker)
+    if len(dates) < 2:
+        raise DataError(f"{ticker}: insufficient data in {path}")
+    return PriceSeries(ticker, dates, np.array(prices))
+
+
+def _sorted_first_per_date(dates, prices, ticker):
+    """The rows in date order, keeping the first of each date and warning for each other."""
+    kept_dates, kept_prices = [], []
+    # a stable sort: rows of one date stay in file order
+    for date, price in sorted(zip(dates, prices), key=operator.itemgetter(0)):
+        if kept_dates and kept_dates[-1] == date:
             warnings.warn(f"{ticker}: duplicate date {date}, keeping first")
             continue
-        deduped.append((date, price))
-    if len(deduped) < 2:
-        raise DataError(f"{ticker}: insufficient data in {path}")
-    dates, prices = zip(*deduped)
-    return PriceSeries(ticker, dates, np.array(prices))
+        kept_dates.append(date)
+        kept_prices.append(price)
+    return kept_dates, kept_prices
 
 
 def align_panel(series_list):
     """Inner-join a list of PriceSeries onto their common dates."""
     if not series_list:
         raise DataError("align_panel needs at least one series")
-    common = set(series_list[0].dates)
-    for s in series_list[1:]:
-        common &= set(s.dates)
-    if not common:
-        raise DataError("no common dates across series")
-    dates = tuple(sorted(common))
+    dates = series_list[0].dates
+    if any(s.dates != dates for s in series_list[1:]):
+        common = set(dates).intersection(*(s.dates for s in series_list[1:]))
+        if not common:
+            raise DataError("no common dates across series")
+        dates = tuple(sorted(common))
     matrix = np.empty((len(dates), len(series_list)))
     for j, s in enumerate(series_list):
-        index = {d: i for i, d in enumerate(s.dates)}
-        matrix[:, j] = [s.prices[index[d]] for d in dates]
+        if s.dates == dates:  # shared date objects compare by identity
+            matrix[:, j] = s.prices
+        else:
+            matrix[:, j] = s.prices[[bisect_left(s.dates, d) for d in dates]]
     return PricePanel(tuple(s.ticker for s in series_list), dates, matrix)
 
 
@@ -175,19 +217,22 @@ def slice_period(series, start, end):
     """Rows with start <= date <= end; error if fewer than 2 remain."""
     if start > end:
         raise DataError(f"{series.ticker}: start {start} after end {end}")
-    keep = [i for i, d in enumerate(series.dates) if start <= d <= end]
-    if len(keep) < 2:
+    i, j = _window(series.dates, start, end)
+    if j - i < 2:
         raise DataError(f"{series.ticker}: window {start}..{end} has fewer than 2 rows")
-    dates = tuple(series.dates[i] for i in keep)
-    return PriceSeries(series.ticker, dates, series.prices[keep])
+    return PriceSeries(series.ticker, series.dates[i:j], series.prices[i:j])
 
 
 def slice_panel(panel, start, end):
     """slice_period applied to a whole panel."""
     if start > end:
         raise DataError(f"start {start} after end {end}")
-    keep = [i for i, d in enumerate(panel.dates) if start <= d <= end]
-    if len(keep) < 2:
+    i, j = _window(panel.dates, start, end)
+    if j - i < 2:
         raise DataError(f"window {start}..{end} has fewer than 2 rows")
-    dates = tuple(panel.dates[i] for i in keep)
-    return PricePanel(panel.tickers, dates, panel.matrix[keep, :])
+    return PricePanel(panel.tickers, panel.dates[i:j], panel.matrix[i:j])
+
+
+def _window(dates, start, end):
+    """The positions [i, j) of the sorted dates with start <= date <= end."""
+    return bisect_left(dates, start), bisect_right(dates, end)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gbmfolio
 from gbmfolio import cli
@@ -78,13 +80,25 @@ class TestStats:
         assert rows[0]["sharpe"] == "NA"
 
     def test_empty_ticker_list(self, universe_dir, tmp_path):
-        assert run(universe_dir, tmp_path, "stats") == 0
-        assert read_rows(tmp_path / "stats.csv") == []
-        header = (tmp_path / "stats.csv").read_text().splitlines()[0]
-        assert header == "ticker,return_annual,risk_annual,sharpe"
+        # no tickers means the whole universe, byte for byte as report writes it
+        assert run(universe_dir, tmp_path / "stats", "stats") == 0
+        flags = ("--group-count", "3", "--group-size", "2", "--paths", "10", "--trials", "5")
+        assert run(universe_dir, tmp_path / "report", *flags, "report") == 0
+        for name in ("stats.csv", "stats.txt"):
+            stats = (tmp_path / "stats" / name).read_bytes()
+            assert stats == (tmp_path / "report" / name).read_bytes()
+        tickers = [r["ticker"] for r in read_rows(tmp_path / "stats" / "stats.csv")]
+        assert tickers == sorted(p.stem for p in universe_dir.glob("*.csv"))
 
     def test_missing_ticker_is_data_error(self, universe_dir, tmp_path):
         assert run(universe_dir, tmp_path, "stats", "NOPE") == 2
+
+    def test_repeated_ticker_is_usage_error(self, universe_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(universe_dir, tmp_path, "stats", "SYN00", "SYN01", "SYN00")
+        assert exc.value.code == 1
+        assert "more than once" in capsys.readouterr().err
+        assert not (tmp_path / "stats.csv").exists()
 
 
 class TestGroup:
@@ -304,6 +318,108 @@ class TestUsageAndConfig:
              "--out-dir", str(tmp_path / "out"), "stats"]
         )
         assert rc == 2
+
+
+class TestTickerRule:
+    """A ticker is letters, digits and . - ^ =, starting with a letter, a digit or ^,
+    and is never a subject name: all, MEAN or <metric>-<n>."""
+
+    FLAGS = ("--group-count", "3", "--group-size", "2", "--paths", "10", "--trials", "5")
+
+    def universe_with(self, universe_dir, tmp_path, name):
+        """The 6-ticker universe with SYN05's file renamed to `name`.csv."""
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        (data / "SYN05.csv").rename(data / f"{name}.csv")
+        return data
+
+    @pytest.mark.parametrize("name", ["sharpe-1", "MEAN", "all", "A,B", ".hidden", "A B"])
+    @pytest.mark.parametrize("command", [("report",), ("simulate", "--subject", "all")])
+    def test_bad_file_name_is_data_error_naming_the_file(
+        self, universe_dir, tmp_path, capsys, name, command
+    ):
+        data = self.universe_with(universe_dir, tmp_path, name)
+        assert run(data, tmp_path / "out", *self.FLAGS, *command) == 2
+        assert f"{name}.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("name", ["BRK-B", "^GSPC", "EURUSD=X", "sharpe-x", "risk-1a"])
+    def test_tickers_within_the_rule_load(self, universe_dir, tmp_path, name):
+        data = self.universe_with(universe_dir, tmp_path, name)
+        assert run(data, tmp_path / "all", *self.FLAGS, "simulate", "--subject", "all") == 0
+        rows = read_rows(tmp_path / "all" / "summary.csv")
+        assert name in {r["subject"] for r in rows}
+        assert [r["horizon"] for r in rows if r["subject"] == "MEAN"] == [
+            "1w", "2w", "1m", "6m", "1y"
+        ]
+        assert run(data, tmp_path / "one", "--paths", "10", "simulate", "--subject", name) == 0
+        for file in (f"report_{name}.csv", f"envelope_{name}.csv"):
+            assert (tmp_path / "one" / file).read_bytes() == (tmp_path / "all" / file).read_bytes()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("simulate", "--subject", "../data/SYN00"),
+            ("simulate", "--subject", "MEAN"),
+            ("simulate", "--subject", ""),
+            ("simulate", "--subject", "sharpe-02"),
+            ("simulate", "--subject", "risk-0"),
+            ("stats", "SYN00", "../data/SYN01"),
+            ("stats", "sharpe-1"),
+        ],
+    )
+    def test_bad_subject_argument_is_usage_error(self, universe_dir, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        with pytest.raises(SystemExit) as exc:
+            run(data, tmp_path / "out", *command)
+        assert exc.value.code == 1
+        assert "error: argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+# --subject text: names that exist, names of subjects, paths and arbitrary text
+SUBJECTS = st.one_of(
+    st.sampled_from(
+        ["all", "SYN00", "sharpe-2", "risk-3", "return-0", "sharpe-99", "MEAN", "sharpe-x",
+         "../data/SYN00", "data/../SYN00", "/SYN00", "..", "-x", "", "SYN00\n", "SYN\x0000"]
+    ),
+    st.text(alphabet=st.sampled_from("SYN0125./-^=_ ,\\"), max_size=14),
+    st.text(max_size=14),
+)
+
+
+@pytest.fixture(scope="module")
+def subject_sandbox(universe_dir, tmp_path_factory):
+    """A directory holding a copy of the universe under data/, and nothing else."""
+    base = tmp_path_factory.mktemp("subjects")
+    shutil.copytree(universe_dir, base / "data")
+    return base
+
+
+def _files_under(path):
+    return set(path.rglob("*"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(subject=SUBJECTS)
+def test_any_subject_exits_cleanly_inside_out_dir(subject_sandbox, subject):
+    before = _files_under(subject_sandbox)
+    out = subject_sandbox / "out"
+    try:  # any exception but SystemExit fails the test: the CLI would show a traceback
+        code = main([
+            "--data-dir", str(subject_sandbox / "data"), "--out-dir", str(out),
+            "--group-count", "3", "--group-size", "2", "--paths", "5", "--trials", "5",
+            "simulate", "--subject", subject,
+        ])
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        assert code in (0, 1, 2)
+        added = _files_under(subject_sandbox) - before
+        assert not {p for p in added if p != out and out not in p.parents}
+    finally:
+        shutil.rmtree(out, ignore_errors=True)
 
 
 class TestReport:

@@ -1,4 +1,7 @@
+import csv
 import datetime as dt
+import io
+import random
 import warnings
 
 import numpy as np
@@ -8,10 +11,13 @@ from hypothesis import strategies as st
 
 from gbmfolio.errors import DataError
 from gbmfolio.market_data import (
+    PricePanel,
     PriceSeries,
+    _csv_rows,
     align_panel,
     load_csv,
     normalize_base100,
+    slice_panel,
     slice_period,
 )
 from gbmfolio.stats import simple_returns
@@ -83,6 +89,35 @@ class TestLoadCsv:
         assert s.dates[0] < s.dates[1]
         assert list(s.prices) == [10.0, 11.0]
 
+    def test_shuffled_duplicates_load_like_sorted(self, tmp_path):
+        # each date appears 1-3 times, its rows in file order; the first one is kept
+        days = [f"2019-{m:02d}-{d:02d}" for m in (1, 2, 3) for d in range(1, 29)]
+        rng = random.Random(7)
+        rows = [(day, f"{10 + i + k / 10}") for i, day in enumerate(days)
+                for k in range(rng.randint(1, 3))]
+        order = {day: rng.random() for day in days}
+        shuffled = sorted(rows, key=lambda r: order[r[0]])  # stable: same-date rows keep order
+        assert shuffled != rows
+        loaded = {}
+        for name, content in (("sorted", rows), ("shuffled", shuffled)):
+            write_csv(tmp_path / f"{name}.csv", content)
+            with pytest.warns(UserWarning) as record:
+                s = load_csv(tmp_path / f"{name}.csv", "A")
+            loaded[name] = s, [str(w.message) for w in record]
+        (a, warned_a), (b, warned_b) = loaded["sorted"], loaded["shuffled"]
+        assert a.dates == b.dates == tuple(dt.date.fromisoformat(d) for d in days)
+        assert np.array_equal(a.prices, b.prices)
+        assert list(a.prices) == [10.0 + i for i in range(len(days))]
+        assert warned_a == warned_b
+        assert len(warned_a) == len(rows) - len(days)
+        assert all("duplicate date" in w for w in warned_a)
+
+    def test_files_share_date_objects(self, tmp_path):
+        days = [f"2019-01-{d:02d}" for d in range(2, 12)]
+        write_csv(tmp_path / "a.csv", [(d, "10.0") for d in days])
+        write_csv(tmp_path / "b.csv", [(d, "20.0") for d in days[::-1]])
+        a, b = load_csv(tmp_path / "a.csv", "A"), load_csv(tmp_path / "b.csv", "B")
+        assert all(x is y for x, y in zip(a.dates, b.dates, strict=True))
 
     def test_non_utf8_file_is_data_error(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -111,6 +146,30 @@ CSV_FILES = st.one_of(
     st.lists(CSV_LINE, max_size=8).map(lambda ls: "Date,Adj Close\n" + "\n".join(ls)),
     st.text(max_size=200),
 )
+
+
+# text rich in what csv.reader treats specially: quotes, line ends, NUL
+CSV_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from('a1,."\r\n\0 '), max_size=40),
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=CSV_TEXT, field_limit=st.sampled_from([4, 131072]))
+def test_csv_rows_are_csv_readers_rows(text, field_limit):
+    def rows(read):
+        try:
+            return list(read(text))
+        except csv.Error as exc:
+            return str(exc)
+
+    limit = csv.field_size_limit(field_limit)
+    try:
+        expected = rows(lambda t: csv.reader(io.StringIO(t, newline="")))
+        assert rows(_csv_rows) == expected
+    finally:
+        csv.field_size_limit(limit)
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +286,52 @@ class TestSlicePeriod:
         s = series([1, 2, 3])
         with pytest.raises(DataError):
             slice_period(s, dt.date(2030, 1, 1), dt.date(2030, 2, 1))
+
+
+# windows and axes over a few weeks of calendar days, bounds on or off the axis
+DAY0 = dt.date(2019, 1, 1)
+AXES = st.sets(st.integers(0, 40), min_size=2, max_size=30).map(
+    lambda offsets: tuple(DAY0 + dt.timedelta(days=k) for k in sorted(offsets))
+)
+BOUNDS = st.integers(-5, 45).map(lambda k: DAY0 + dt.timedelta(days=k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dates=AXES, start=BOUNDS, end=BOUNDS)
+def test_slices_match_a_scan_of_every_date(dates, start, end):
+    prices = np.arange(1.0, len(dates) + 1)
+    s = PriceSeries("A", dates, prices)
+    panel = PricePanel(("A", "B"), dates, np.column_stack((prices, 2 * prices)))
+    keep = [i for i, d in enumerate(dates) if start <= d <= end]
+    if start > end or len(keep) < 2:
+        with pytest.raises(DataError):
+            slice_period(s, start, end)
+        with pytest.raises(DataError):
+            slice_panel(panel, start, end)
+        return
+    window = tuple(dates[i] for i in keep)
+    out = slice_period(s, start, end)
+    assert out.dates == window
+    assert np.array_equal(out.prices, prices[keep])
+    out = slice_panel(panel, start, end)
+    assert out.dates == window
+    assert np.array_equal(out.matrix, panel.matrix[keep, :])
+
+
+@settings(max_examples=200, deadline=None)
+@given(axes=st.lists(AXES, min_size=1, max_size=4))
+def test_align_panel_matches_a_lookup_of_every_date(axes):
+    cols = [
+        PriceSeries(f"T{j}", dates, np.arange(1.0, len(dates) + 1) + 100 * j)
+        for j, dates in enumerate(axes)
+    ]
+    common = sorted(set(axes[0]).intersection(*axes[1:]))
+    if not common:
+        with pytest.raises(DataError, match="no common dates"):
+            align_panel(cols)
+        return
+    panel = align_panel(cols)
+    assert panel.dates == tuple(common)
+    for j, s in enumerate(cols):
+        price = dict(zip(s.dates, s.prices))
+        assert list(panel.matrix[:, j]) == [price[d] for d in common]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gbmfolio.errors import DataError, NumericError
-from gbmfolio.market_data import align_panel
+from gbmfolio.market_data import PriceSeries, align_panel
 from gbmfolio.portfolio import (
     Weights,
     optimize_max_sharpe,
@@ -251,13 +251,17 @@ class TestRankAndGroup:
             cols[f"T{i}"] = gbm_prices(rng, 400, mu, sigma)
         return panel_from_columns(cols)
 
+    def column_stats(self, universe, ticker):
+        j = universe.tickers.index(ticker)
+        return asset_stats(PriceSeries(ticker, universe.dates, universe.matrix[:, j]), RISK_FREE)
+
     def universe_stats(self, universe):
-        return [asset_stats(universe.column(t), RISK_FREE) for t in universe.tickers]
+        return [self.column_stats(universe, t) for t in universe.tickers]
 
     def test_singleton_groups_descending_by_return(self, rng):
         universe = self.make_universe(rng, 6)
         pg = rank_and_group(self.universe_stats(universe), "return", group_count=6, group_size=1)
-        rets = [asset_stats(universe.column(g[0]), RISK_FREE).return_annual for g in pg.groups]
+        rets = [self.column_stats(universe, g[0]).return_annual for g in pg.groups]
         assert rets == sorted(rets, reverse=True)
 
     def test_risk_descending(self, rng):
@@ -281,7 +285,7 @@ class TestRankAndGroup:
         pg = rank_and_group(self.universe_stats(universe), "sharpe", group_count=4, group_size=3)
         flat = [t for g in pg.groups for t in g]
         assert sorted(flat) == sorted(universe.tickers)
-        sharpes = [asset_stats(universe.column(t), RISK_FREE).sharpe for t in flat]
+        sharpes = [self.column_stats(universe, t).sharpe for t in flat]
         assert sharpes == sorted(sharpes, reverse=True)
 
     def test_divisibility_error(self, rng):
