@@ -14,7 +14,6 @@ same axis are aligned without a lookup.
 import csv
 import datetime as dt
 import functools
-import io
 import math
 import operator
 import warnings
@@ -88,28 +87,6 @@ def _parse_date(text):
     return dt.date.fromisoformat(text.strip())
 
 
-def _csv_rows(text):
-    """The rows csv.reader gives for `text`, as read from a file opened with newline="".
-
-    Without quotes, lone carriage returns, over-long lines or NUL (which
-    csv.reader rejects before Python 3.11), each line is one row, split at
-    every comma, and an empty line is an empty row; such text is split
-    directly, which is faster. Any other text goes to csv.reader.
-    """
-    plain = text.replace("\r\n", "\n")
-    lines = plain.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the last line's terminator starts no row
-    if (
-        '"' in plain
-        or "\r" in plain
-        or "\0" in plain
-        or max(map(len, lines), default=0) > csv.field_size_limit()
-    ):
-        return csv.reader(io.StringIO(text, newline=""))
-    return (line.split(",") if line else [] for line in lines)
-
-
 def _read_rows(reader, path, ticker):
     """The dates and prices of every usable row, in file order, after the header."""
     try:
@@ -163,7 +140,7 @@ def load_csv(path, ticker):
         raise DataError(f"cannot open price file {path}: {exc}") from exc
     with fh:
         try:
-            dates, prices = _read_rows(_csv_rows(fh.read()), path, ticker)
+            dates, prices = _read_rows(csv.reader(fh), path, ticker)
         except UnicodeDecodeError:
             raise DataError(f"{path}: not UTF-8 text") from None
         except csv.Error as exc:

@@ -1,6 +1,4 @@
-import csv
 import datetime as dt
-import io
 import random
 import warnings
 
@@ -13,7 +11,6 @@ from gbmfolio.errors import DataError
 from gbmfolio.market_data import (
     PricePanel,
     PriceSeries,
-    _csv_rows,
     align_panel,
     load_csv,
     normalize_base100,
@@ -146,30 +143,6 @@ CSV_FILES = st.one_of(
     st.lists(CSV_LINE, max_size=8).map(lambda ls: "Date,Adj Close\n" + "\n".join(ls)),
     st.text(max_size=200),
 )
-
-
-# text rich in what csv.reader treats specially: quotes, line ends, NUL
-CSV_TEXT = st.one_of(
-    st.text(alphabet=st.sampled_from('a1,."\r\n\0 '), max_size=40),
-    st.text(max_size=40),
-)
-
-
-@settings(max_examples=500, deadline=None)
-@given(text=CSV_TEXT, field_limit=st.sampled_from([4, 131072]))
-def test_csv_rows_are_csv_readers_rows(text, field_limit):
-    def rows(read):
-        try:
-            return list(read(text))
-        except csv.Error as exc:
-            return str(exc)
-
-    limit = csv.field_size_limit(field_limit)
-    try:
-        expected = rows(lambda t: csv.reader(io.StringIO(t, newline="")))
-        assert rows(_csv_rows) == expected
-    finally:
-        csv.field_size_limit(limit)
 
 
 @pytest.fixture(scope="module")
