@@ -36,6 +36,10 @@ class RunConfig:
             raise DataError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.risk_free):
             raise DataError(f"risk_free must be finite, got {self.risk_free}")
+        labels = [h.label for h in self.horizons]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise DataError(f"horizon label {label!r} is given more than once")
         if self.mape_denominator not in MAPE_DENOMINATORS:
             raise DataError(f"unknown mape_denominator {self.mape_denominator!r}")
 
@@ -44,8 +48,9 @@ def parse_horizons(text):
     """Parse "1w:5,2w:10,..." into HorizonSpec tuples."""
     specs = []
     for part in text.split(","):
-        label, _, days = part.strip().partition(":")
-        if not label or not days:
+        label, _, days = part.partition(":")
+        label = label.strip()
+        if not label or not days.strip():
             raise DataError(f"bad horizon {part!r}, expected label:days")
         try:
             specs.append(HorizonSpec(label, int(days)))

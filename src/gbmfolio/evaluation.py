@@ -7,6 +7,7 @@ map onto four precision bands: high (<= 10%), good (<= 20%), reasonable
 
 Ensembles are scored per path over each horizon's days 1..h (day 0 is
 the known starting price and is excluded), then averaged across paths.
+Each call scores every horizon in one reused (n_paths, max_h) buffer.
 """
 
 import math
@@ -87,6 +88,8 @@ def mape(actual, forecast, denominator="forecast"):
 
 def classify_mape(value):
     """Precision band for a MAPE value."""
+    if math.isnan(value):
+        raise DataError("MAPE is not a number")
     if value < 0:
         raise DataError("MAPE cannot be negative")
     if value <= 0.10:
@@ -105,7 +108,16 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS, denominator="f
     aligns with the paths' starting price). Per horizon, correlation and
     MAPE are computed per path over days 1..h and averaged across paths;
     paths whose segment is constant are skipped in the correlation mean
-    but still counted for MAPE.
+    but still counted for MAPE. A MAPE or mean correlation that is not
+    finite (an ensemble or a sum of squares that overflowed) raises
+    NumericError.
+
+    One (n_paths, max_h) buffer does all the work: it is filled once with
+    the absolute percentage errors over days 1..max_h, each horizon's
+    MAPE is read from its first h columns, and it is then overwritten per
+    horizon with the paths' deviations from their means. A prefix view
+    sums in the same order as a fresh (n_paths, h) array, so the results
+    are those of scoring each horizon on its own.
     """
     if denominator not in MAPE_DENOMINATORS:
         raise DataError(f"unknown denominator {denominator!r}")
@@ -118,30 +130,41 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS, denominator="f
     if paths.shape[0] < 1:
         raise DataError("no paths to evaluate")
 
-    results = []
+    prices = actual.prices
+    a_all = prices[1 : max_h + 1]
+    f_all = paths[:, 1 : max_h + 1]
+    # x.all() is False iff some x == 0, without a boolean temporary
+    if not f_all.all() or (denominator == "actual" and not a_all.all()):
+        raise NumericError("undefined MAPE: zero denominator value")
+
+    buf = np.subtract(a_all, f_all)
+    np.abs(buf, out=buf)
+    np.divide(buf, f_all if denominator == "forecast" else a_all, out=buf)
+    mapes = []
     for spec in horizons:
+        value = float(buf[:, : spec.days].mean(axis=1).mean())
+        if not math.isfinite(value):
+            raise NumericError(f"{spec.label}: MAPE is {value}; the ensemble overflowed")
+        mapes.append(value)
+
+    results = []
+    for spec, mape_mean in zip(horizons, mapes):
         h = spec.days
-        a = actual.prices[1 : h + 1]
-        f = paths[:, 1 : h + 1]
-
-        if np.any(f == 0) or (denominator == "actual" and np.any(a == 0)):
-            raise NumericError("undefined MAPE: zero denominator value")
-        base = f if denominator == "forecast" else a
-        mape_mean = float(np.mean(np.abs(a - f) / base, axis=1).mean())
-
+        corr_mean = None  # a single point, or no usable path, has no correlation
         if h >= 2:
+            a = prices[1 : h + 1]
+            f = paths[:, 1 : h + 1]
             da = a - a.mean()
-            df = f - f.mean(axis=1, keepdims=True)
+            df = np.subtract(f, f.mean(axis=1, keepdims=True), out=buf[:, :h])
             ss_a = float(da @ da)
             ss_f = np.einsum("pi,pi->p", df, df)
             usable = (ss_f > 0) & (ss_a > 0)
-            if usable.any():
-                r = (df[usable] @ da) / np.sqrt(ss_f[usable] * ss_a)
+            if not usable.all():
+                df, ss_f = df[usable], ss_f[usable]
+            if len(df):
+                r = (df @ da) / np.sqrt(ss_f * ss_a)
                 corr_mean = float(np.clip(r, -1.0, 1.0).mean())
-            else:
-                corr_mean = None
-        else:
-            corr_mean = None  # single-point segments have no correlation
-
+                if not math.isfinite(corr_mean):
+                    raise NumericError(f"{spec.label}: correlation is {corr_mean}; sums overflowed")
         results.append(HorizonResult(spec, corr_mean, mape_mean, classify_mape(mape_mean)))
     return EvalReport(actual.ticker, tuple(results))

@@ -21,7 +21,7 @@ from gbmfolio.config import RunConfig
 from gbmfolio.errors import DataError
 from gbmfolio.market_data import load_csv, slice_period
 from gbmfolio.stats import asset_stats
-from gbmfolio.synthetic import make_universe
+from gbmfolio.synthetic import make_universe, weekday_range
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +202,26 @@ class TestSimulate:
         )
         assert rc == 2
 
+    def test_overflowing_forecast_exits_3(self, tmp_path):
+        # log-linear from 1e-300 to 1e300 over 2016-2018: the ensemble overflows
+        data_dir, out_dir = tmp_path / "data", tmp_path / "out"
+        data_dir.mkdir()
+        days = weekday_range(dt.date(2016, 1, 4), dt.date(2019, 12, 30))
+        n_calibration = sum(d.year <= 2018 for d in days)
+        climb = np.exp(np.linspace(np.log(1e-300), np.log(1e300), n_calibration)).tolist()
+        prices = climb + [1e300] * (len(days) - n_calibration)
+        (data_dir / "BOOM.csv").write_text(
+            "Date,Adj Close\n" + "".join(f"{d.isoformat()},{p!r}\n" for d, p in zip(days, prices))
+        )
+        rc, stderr = run_process(
+            "--data-dir", str(data_dir), "--out-dir", str(out_dir), "--paths", "50",
+            "simulate", "--subject", "BOOM",
+        )
+        assert rc == 3
+        assert "Traceback" not in stderr
+        assert stderr.splitlines()[-1].startswith("numeric error: ")
+        assert not (out_dir / "report_BOOM.csv").exists()
+
 
 class TestUsageAndConfig:
     def test_unknown_subcommand_exits_1(self, capsys):
@@ -240,6 +260,8 @@ class TestUsageAndConfig:
             (["--horizons", "1w:x"], 1, "error: argument --horizons"),
             (["--risk-free", "nan"], 2, "data error: risk_free must be finite"),
             (["--risk-free", "inf"], 2, "data error: risk_free must be finite"),
+            (["--horizons", "1w:5,1w:10"], 2, "data error: horizon label '1w' is given more"),
+            (["--horizons", "1w:5, 1w :10"], 2, "data error: horizon label '1w' is given more"),
         ],
     )
     def test_bad_flag_value_exits_without_traceback(
@@ -264,6 +286,18 @@ class TestUsageAndConfig:
         assert rc == 2
         assert "Traceback" not in stderr
         assert stderr.splitlines()[-1].startswith("data error: risk_free must be finite")
+
+    def test_repeated_horizon_label_in_config_exits_2(self, universe_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("horizons = 1w:5, 2w:10, 1w:21\n")
+        rc, stderr = run_process(
+            "--config", str(cfg), "--data-dir", str(universe_dir), "--out-dir", str(tmp_path),
+            "--paths", "10", "simulate", "--subject", "SYN00",
+        )
+        assert rc == 2
+        assert "Traceback" not in stderr
+        assert stderr.splitlines()[-1].startswith("data error: horizon label '1w' is given more")
+        assert not (tmp_path / "report_SYN00.csv").exists()
 
     def test_unknown_mape_denominator_rejected(self, universe_dir, tmp_path):
         with pytest.raises(DataError, match="mape_denominator"):

@@ -11,10 +11,19 @@ class TestParseHorizons:
     def test_valid_list(self):
         assert parse_horizons("1w:5, 1y:247") == (HorizonSpec("1w", 5), HorizonSpec("1y", 247))
 
+    def test_label_is_stripped(self):
+        assert parse_horizons(" 1w :5") == (HorizonSpec("1w", 5),)
+
     @pytest.mark.parametrize("text", [":5", " :5", "1w:5,:10", "1w", "1w:", "1w:x", "1w:0", ""])
     def test_rejected(self, text):
         with pytest.raises(DataError):
             parse_horizons(text)
+
+
+class TestRunConfig:
+    def test_repeated_days_under_distinct_labels_accepted(self):
+        horizons = (HorizonSpec("week", 5), HorizonSpec("1w", 5))
+        assert RunConfig(horizons=horizons).horizons == horizons
 
 
 class TestLoadConfig:

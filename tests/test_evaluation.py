@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbmfolio.errors import DataError, NumericError
 from gbmfolio.evaluation import (
+    HorizonResult,
     HorizonSpec,
     classify_mape,
     evaluate_ensemble,
@@ -99,6 +104,10 @@ class TestClassifyMape:
         with pytest.raises(DataError):
             classify_mape(-0.1)
 
+    def test_nan_rejected(self):
+        with pytest.raises(DataError, match="not a number"):
+            classify_mape(float("nan"))
+
 
 def constant_pathset(paths):
     paths = np.asarray(paths, dtype=float)
@@ -178,3 +187,84 @@ class TestEvaluateEnsemble:
         got = evaluate_ensemble(small, actual, horizons).results[0].mape
         oracle = evaluate_ensemble(big, actual, horizons).results[0].mape
         assert got == pytest.approx(oracle, rel=0.20)
+
+    def test_overflowed_ensemble_is_numeric_error(self):
+        paths = np.tile(100 * 1.01 ** np.arange(11), (3, 1))
+        paths[1, 6:] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="2w: MAPE is nan"):
+            evaluate_ensemble(constant_pathset(paths), series(paths[0]), self.horizons)
+
+    def test_overflowing_correlation_is_numeric_error(self):
+        # MAPE is finite near 1e200, but the sums of squared deviations are not
+        ps = simulate_ensemble(GbmParams(1e200, 0.0, 0.01), SimulationConfig(20, 10, 3))
+        actual = series(ps.paths[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="1w: correlation is nan"):
+                evaluate_ensemble(ps, actual, self.horizons)
+
+    def test_peak_memory_is_about_one_ensemble(self):
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.015), SimulationConfig(1000, 247, 7))
+        actual = series(ps.paths[3])
+        evaluate_ensemble(ps, actual)  # warm up lazily allocated state
+        tracemalloc.start()
+        try:
+            evaluate_ensemble(ps, actual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ps.paths.nbytes
+
+
+def reference_results(pathset, actual, horizons, denominator):
+    """The evaluator as it was before its one-buffer form: every horizon
+    scored on fresh (n_paths, h) arrays."""
+    paths = pathset.paths
+    results = []
+    for spec in horizons:
+        h = spec.days
+        a = actual.prices[1 : h + 1]
+        f = paths[:, 1 : h + 1]
+        base = f if denominator == "forecast" else a
+        mape_mean = float(np.mean(np.abs(a - f) / base, axis=1).mean())
+        corr_mean = None
+        if h >= 2:
+            da = a - a.mean()
+            df = f - f.mean(axis=1, keepdims=True)
+            ss_a = float(da @ da)
+            ss_f = np.einsum("pi,pi->p", df, df)
+            usable = (ss_f > 0) & (ss_a > 0)
+            if usable.any():
+                r = (df[usable] @ da) / np.sqrt(ss_f[usable] * ss_a)
+                corr_mean = float(np.clip(r, -1.0, 1.0).mean())
+        results.append(HorizonResult(spec, corr_mean, mape_mean, classify_mape(mape_mean)))
+    return tuple(results)
+
+
+@st.composite
+def scoring_cases(draw):
+    """An ensemble, an actual series and horizons, as (pathset, actual, horizons)."""
+    n_paths = draw(st.integers(1, 64))
+    days = draw(st.lists(st.integers(1, 150), min_size=1, max_size=6))  # unsorted, repeats
+    width = max(days) + 1 + draw(st.integers(0, 3))  # paths may run past max_h
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    paths = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, (n_paths, width)), axis=1))
+    constant = draw(st.sampled_from(["none", "some", "all"]))
+    if constant == "all":
+        paths[:] = paths[:, :1]
+    elif constant == "some":
+        rows = rng.random(n_paths) < 0.5
+        paths[rows] = paths[rows, :1]
+    if draw(st.booleans()):
+        actual = paths[rng.integers(n_paths)] * rng.uniform(0.8, 1.2, width)
+    else:
+        actual = np.full(width, 50.0 + rng.random())
+    horizons = tuple(HorizonSpec(f"h{i}", d) for i, d in enumerate(days))
+    return constant_pathset(paths), series(actual), horizons
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scoring_cases(), denominator=st.sampled_from(["forecast", "actual"]))
+def test_one_buffer_scoring_equals_per_horizon_reference(case, denominator):
+    pathset, actual, horizons = case
+    got = evaluate_ensemble(pathset, actual, horizons, denominator)
+    assert got.results == reference_results(pathset, actual, horizons, denominator)
