@@ -2,7 +2,7 @@
 Monte Carlo max-Sharpe optimization, and forecast evaluation.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import DataError, GbmfolioError, NumericError
 from .evaluation import (
@@ -19,8 +19,8 @@ from .gbm import (
     GbmParams,
     PathSet,
     SimulationConfig,
+    ensemble_arrays,
     envelope,
-    gbm_path,
     simulate_ensemble,
     wiener_increments,
 )

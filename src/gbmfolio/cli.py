@@ -27,7 +27,7 @@ from . import __version__
 from .config import RunConfig, apply_overrides, load_config, parse_horizons
 from .errors import DataError, NumericError
 from .evaluation import evaluate_ensemble
-from .gbm import GbmParams, SimulationConfig, envelope, simulate_ensemble
+from .gbm import GbmParams, SimulationConfig, ensemble_arrays, envelope, simulate_ensemble
 from .market_data import PricePanel, PriceSeries, align_panel, load_csv, slice_panel, slice_period
 from .portfolio import Weights, optimize_max_sharpe, portfolio_value_series, rank_and_group
 from .stats import asset_stats
@@ -255,6 +255,16 @@ class Run:
             )
         return self._groups[metric]
 
+    @cached_property
+    def draw_arrays(self):
+        """The uniform block and path array every forecast of the run draws into.
+
+        n_paths and the longest horizon are fixed for a run, so one pair
+        serves every subject; a forecast is scored before the next overwrites it.
+        """
+        c = self.config
+        return ensemble_arrays(c.n_paths, max(h.days for h in c.horizons))
+
     def forecast(self, subject):
         """Calibrate, simulate and score one subject against realized prices.
 
@@ -277,9 +287,13 @@ class Run:
         )
         params = GbmParams(s0=s0, mu=stats.mu_daily, sigma=stats.sigma_daily)
         sim = SimulationConfig(n_paths=c.n_paths, horizon=max_h, seed=_subject_seed(c, subject))
-        paths = simulate_ensemble(params, sim)
-        report = evaluate_ensemble(paths, actual, c.horizons, denominator=c.mape_denominator)
-        return report, envelope(paths, *ENVELOPE_QUANTILES), actual
+        # an ensemble that overflows is reported once, as the NumericError
+        # evaluate_ensemble raises for any non-finite score, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            paths = simulate_ensemble(params, sim, out=self.draw_arrays)
+            report = evaluate_ensemble(paths, actual, c.horizons, denominator=c.mape_denominator)
+            band = envelope(paths, *ENVELOPE_QUANTILES)
+        return report, band, actual
 
     # -- outputs ------------------------------------------------------------
 

@@ -4,7 +4,8 @@ Paths follow S(t) = S(0) * exp((mu - sigma^2/2) t + sigma W(t)) sampled
 at daily steps, with W built from standard-normal increments scaled by
 sqrt(dt). Path i of an ensemble is row i of the seed's counter stream
 (see streams.py), turned into normals by Box-Muller, so it depends on
-(seed, i) alone and results are reproducible regardless of execution order.
+(seed, i) alone and results are reproducible regardless of execution order,
+and of which arrays the ensemble is drawn into.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .streams import uniform_rows
+from .streams import padded_width, uniform_rows
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,18 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Ensemble of simulated trajectories, shape (n_paths, horizon + 1)."""
+    """Ensemble of simulated trajectories, shape (n_paths, horizon + 1).
+
+    `paths` is a read-only view: the array it views stays writable, so a
+    caller's arrays can be drawn into again (simulate_ensemble's `out`).
+    """
 
     paths: np.ndarray
     params: GbmParams
     config: SimulationConfig
 
     def __post_init__(self):
-        paths = np.asarray(self.paths, dtype=float)
+        paths = np.asarray(self.paths, dtype=float).view()
         paths.flags.writeable = False
         object.__setattr__(self, "paths", paths)
 
@@ -79,14 +84,19 @@ def wiener_increments(n, dt, rng):
     return rng.standard_normal(n) * math.sqrt(dt)
 
 
-def gbm_paths(s0, mu, sigma, dt, normals):
+def gbm_paths(s0, mu, sigma, dt, normals, out=None):
     """Closed-form GBM paths from pre-drawn standard normals.
 
     normals has shape (n_paths, horizon); the result has shape
-    (n_paths, horizon + 1) with column 0 fixed at s0.
+    (n_paths, horizon + 1) with column 0 fixed at s0. It is written into
+    `out` when one is given, and into a fresh array otherwise.
     """
     normals = np.asarray(normals, dtype=float)
-    out = np.empty((normals.shape[0], normals.shape[1] + 1))
+    shape = (normals.shape[0], normals.shape[1] + 1)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise DataError(f"out has shape {out.shape}, need {shape}")
     out[:, 0] = s0
     log_rel = out[:, 1:]
     np.multiply(normals, sigma * np.sqrt(dt), out=log_rel)
@@ -97,42 +107,65 @@ def gbm_paths(s0, mu, sigma, dt, normals):
     return out
 
 
-def gbm_path(params, horizon, rng):
-    """One simulated path of horizon+1 prices starting at s0."""
-    normals = rng.standard_normal((1, horizon))
-    return gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals)[0]
-
-
 def box_muller(uniforms, horizon):
     """The first `horizon` normals of each row of 2*ceil(horizon/2) uniforms.
 
-    The left half of a row gives the radii, sqrt(-2 log(1 - u)), so the
-    logarithm never sees 0; the right half gives the angles. The normals
-    are r*cos followed by r*sin, written over `uniforms`.
+    The left half of a row gives the radii, r = sqrt(-2 log(1 - u)), so the
+    logarithm never sees 0; the right half gives the angles, theta = 2 pi u.
+    The normals are r cos(theta) followed by r sin(theta), written over
+    `uniforms`. Both come from the half-angle tangent t = tan(pi u), one
+    ufunc where cos and sin would be two slower ones:
+    r cos(theta) = 2r / (1 + t^2) - r and r sin(theta) = 2rt / (1 + t^2).
+    At u = 1/2, tan(pi u) is about 1.6e16, so t^2 stays finite.
     """
     half = uniforms.shape[1] // 2
-    radius, angle = uniforms[:, :half], uniforms[:, half:]
+    radius, tangent = uniforms[:, :half], uniforms[:, half:]
     np.subtract(1.0, radius, out=radius)
     np.log(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    angle *= 2.0 * math.pi
-    cos = np.cos(angle)
-    np.sin(angle, out=angle)
-    angle *= radius
-    np.multiply(cos, radius, out=radius)
+    tangent *= math.pi
+    np.tan(tangent, out=tangent)
+    scale = np.multiply(tangent, tangent)
+    scale += 1.0
+    np.divide(radius, scale, out=scale)
+    scale *= 2.0  # 2r / (1 + t^2)
+    tangent *= scale
+    np.subtract(scale, radius, out=radius)
     return uniforms[:, :horizon]
 
 
-def _ensemble_normals(config):
-    width = 2 * -(-config.horizon // 2)
-    return box_muller(uniform_rows(config.seed, 0, config.n_paths, width), config.horizon)
+def _normals_width(horizon):
+    return 2 * -(-horizon // 2)
 
 
-def simulate_ensemble(params, config):
-    """n_paths independent paths; path i depends only on (seed, i)."""
-    normals = _ensemble_normals(config)
-    paths = gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals)
+def ensemble_arrays(n_paths, horizon):
+    """Fresh (uniforms, paths) arrays for one draw of n_paths x horizon steps.
+
+    Pass them to simulate_ensemble's `out` to draw any number of
+    ensembles of that shape into the same memory.
+    """
+    uniforms = np.empty((n_paths, padded_width(_normals_width(horizon))))
+    return uniforms, np.empty((n_paths, horizon + 1))
+
+
+def _ensemble_normals(config, uniforms=None):
+    width = _normals_width(config.horizon)
+    rows = uniform_rows(config.seed, 0, config.n_paths, width, out=uniforms)
+    return box_muller(rows, config.horizon)
+
+
+def simulate_ensemble(params, config, out=None):
+    """n_paths independent paths; path i depends only on (seed, i).
+
+    `out` is a (uniforms, paths) pair from ensemble_arrays(n_paths,
+    horizon) to draw into, as NumPy's `out=` arguments are: the returned
+    PathSet then views `paths`, and the next draw into the same pair
+    overwrites it. Without `out`, each call draws into arrays of its own.
+    """
+    uniforms, paths = ensemble_arrays(config.n_paths, config.horizon) if out is None else out
+    normals = _ensemble_normals(config, uniforms)
+    gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals, out=paths)
     return PathSet(paths, params, config)
 
 

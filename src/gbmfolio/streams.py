@@ -17,18 +17,29 @@ STREAMS = "philox-counter-v1"
 WORDS_PER_COUNTER = 4
 
 
-def uniform_rows(seed, first, count, width):
+def padded_width(width):
+    """Words a row of `width` uniforms takes in the stream: whole counters."""
+    return WORDS_PER_COUNTER * -(-width // WORDS_PER_COUNTER)
+
+
+def uniform_rows(seed, first, count, width, out=None):
     """Rows first .. first+count-1 of the stream, as a (count, width) array.
 
     Uniforms lie in [0, 1). The array is a view of the padded block, so
-    callers may transform it in place.
+    callers may transform it in place. The block is drawn into `out`, a
+    C-contiguous float64 array of shape (count, padded_width(width)), when
+    one is given, and into a fresh array otherwise.
     """
     if seed < 0:
         raise DataError(f"seed must be >= 0, got {seed}")
     if first < 0 or count < 1 or width < 1:
         raise DataError("need first >= 0, count >= 1 and width >= 1")
-    stride = -(-width // WORDS_PER_COUNTER)
+    shape = (count, padded_width(width))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise DataError(f"out has shape {out.shape}, need {shape}")
     bitgen = np.random.Philox(key=np.random.SeedSequence(seed).generate_state(2, np.uint64))
-    bitgen.advance(first * stride)
-    block = np.random.Generator(bitgen).random(count * stride * WORDS_PER_COUNTER)
-    return block.reshape(count, stride * WORDS_PER_COUNTER)[:, :width]
+    bitgen.advance(first * (shape[1] // WORDS_PER_COUNTER))
+    np.random.Generator(bitgen).random(out=out)
+    return out[:, :width]

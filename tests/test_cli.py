@@ -220,6 +220,7 @@ class TestSimulate:
         assert rc == 3
         assert "Traceback" not in stderr
         assert stderr.splitlines()[-1].startswith("numeric error: ")
+        assert len(stderr.splitlines()) == 1, stderr  # no NumPy RuntimeWarning lines
         assert not (out_dir / "report_BOOM.csv").exists()
 
 
@@ -483,6 +484,11 @@ class TestReport:
             "gbmfolio": gbmfolio.__version__,
         }
 
+    def test_package_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == gbmfolio.__version__
+
     def test_manifest_lists_only_files_of_this_run(self, universe_dir, tmp_path):
         (tmp_path / "stale.csv").write_text("left,over\n")
         rc = run(
@@ -566,6 +572,17 @@ class TestPipeline:
             ranked = sorted(stats, key=lambda r: (-float(r[column]), r["ticker"]))
             groups = read_rows(tmp_path / "report" / f"groups_{metric}.csv")
             assert [r["ticker"] for r in groups] == [r["ticker"] for r in ranked], metric
+
+    def test_every_subject_of_all_matches_its_run_alone(self, universe_dir, tmp_path):
+        # every forecast of a run is drawn into the same arrays
+        assert run(universe_dir, tmp_path / "all", *self.FLAGS, "simulate", "--subject", "all") == 0
+        tickers = sorted(p.stem for p in universe_dir.glob("*.csv"))
+        groups = [f"{m}-{i}" for m in cli.METRICS for i in (1, 2, 3)]
+        for subject in tickers + groups:
+            out = tmp_path / subject
+            assert run(universe_dir, out, *self.FLAGS, "simulate", "--subject", subject) == 0
+            for file in (f"report_{subject}.csv", f"envelope_{subject}.csv"):
+                assert (out / file).read_bytes() == (tmp_path / "all" / file).read_bytes(), file
 
     def test_single_ticker_commands_read_only_their_file(self, universe_dir, tmp_path):
         data = tmp_path / "data"

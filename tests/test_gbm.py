@@ -9,8 +9,8 @@ from gbmfolio.gbm import (
     SimulationConfig,
     _ensemble_normals,
     box_muller,
+    ensemble_arrays,
     envelope,
-    gbm_path,
     gbm_paths,
     simulate_ensemble,
     wiener_increments,
@@ -42,25 +42,30 @@ class TestWienerIncrements:
 
 
 class TestGbmPath:
-    def test_sigma_zero_drift(self, rng):
-        path = gbm_path(GbmParams(100.0, 0.001, 0.0), 2, rng)
+    """One path: row 0 of a one-path ensemble, or of gbm_paths on given normals."""
+
+    def test_sigma_zero_drift(self):
+        config = SimulationConfig(n_paths=1, horizon=2, seed=0)
+        path = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), config).paths[0]
         assert path == pytest.approx([100.0, 100.0 * math.e**0.001, 100.0 * math.e**0.002])
 
-    def test_sigma_zero_mu_zero_constant(self, rng):
-        path = gbm_path(GbmParams(100.0, 0.0, 0.0), 10, rng)
+    def test_sigma_zero_mu_zero_constant(self):
+        config = SimulationConfig(n_paths=1, horizon=10, seed=0)
+        path = simulate_ensemble(GbmParams(100.0, 0.0, 0.0), config).paths[0]
         assert np.all(path == 100.0)
 
     def test_log_increment_moments(self, rng):
         # Fig-2-scale parameters: mu = 0.0004, sigma = 0.01
         mu, sigma, n = 0.0004, 0.01, 100_000
-        path = gbm_path(GbmParams(100.0, mu, sigma), n, rng)
+        path = gbm_paths(100.0, mu, sigma, 1.0, rng.standard_normal((1, n)))[0]
         inc = np.diff(np.log(path))
         se = sigma / math.sqrt(n)
         assert abs(inc.mean() - (mu - sigma**2 / 2)) <= 5 * se
         assert inc.std() == pytest.approx(sigma, rel=0.02)
 
-    def test_length_and_start(self, rng):
-        path = gbm_path(GbmParams(42.0, 0.001, 0.02), 30, rng)
+    def test_length_and_start(self):
+        config = SimulationConfig(n_paths=1, horizon=30, seed=0)
+        path = simulate_ensemble(GbmParams(42.0, 0.001, 0.02), config).paths[0]
         assert len(path) == 31
         assert path[0] == 42.0
         assert np.all(path > 0)
@@ -87,6 +92,22 @@ class TestGbmPaths:
             for k in range(10):
                 log_rel += (mu - sigma * sigma / 2) * dt + sigma * math.sqrt(dt) * normals[i, k]
                 assert out[i, k + 1] == pytest.approx(s0 * math.exp(log_rel), rel=1e-12)
+
+
+def reference_box_muller(uniforms, horizon):
+    """box_muller of version 0.2.0, from cos and sin of 2 pi u; kept as an oracle."""
+    half = uniforms.shape[1] // 2
+    radius, angle = uniforms[:, :half], uniforms[:, half:]
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * math.pi
+    cos = np.cos(angle)
+    np.sin(angle, out=angle)
+    angle *= radius
+    np.multiply(cos, radius, out=radius)
+    return uniforms[:, :horizon]
 
 
 class TestPathStream:
@@ -122,6 +143,23 @@ class TestPathStream:
     def test_box_muller_finite_at_zero_uniform(self):
         u = np.zeros((1, 4))
         assert np.array_equal(box_muller(u, 3), np.zeros((1, 3)))
+
+    def test_half_angle_matches_cos_sin_reference(self):
+        uniforms = uniform_rows(2024, 0, 4100, self.WIDTH)
+        assert uniforms.size >= 1_000_000
+        normals = box_muller(uniforms.copy(), self.HORIZON)
+        reference = reference_box_muller(uniforms.copy(), self.HORIZON)
+        np.testing.assert_allclose(normals, reference, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("angle", [0.0, 0.25, 0.5, 0.75, 1 - 2**-53])
+    def test_half_angle_edge_uniforms(self, angle):
+        # 0.5 puts tan(pi u) at its pole; the radii run from 0 to the largest
+        radii = np.array([0.0, 0.3, 0.5, 1 - 2**-53])
+        uniforms = np.column_stack([radii, np.full(radii.size, angle)])
+        normals = box_muller(uniforms.copy(), 2)
+        assert np.all(np.isfinite(normals))
+        reference = reference_box_muller(uniforms.copy(), 2)
+        np.testing.assert_allclose(normals, reference, rtol=0, atol=1e-14)
 
     def test_odd_horizon_uses_padded_row(self):
         normals = _ensemble_normals(SimulationConfig(3, 5, 1))
@@ -180,6 +218,32 @@ class TestEnsemble:
         small = simulate_ensemble(params, SimulationConfig(3, 40, 77))
         large = simulate_ensemble(params, SimulationConfig(10, 40, 77))
         assert np.array_equal(small.paths, large.paths[:3])
+
+
+class TestDrawArrays:
+    """simulate_ensemble's `out`: drawing into reused arrays changes no path."""
+
+    PARAMS = GbmParams(100.0, 0.0004, 0.01)
+
+    def test_draws_without_out_share_no_memory(self):
+        config = SimulationConfig(50, 30, 1)
+        first = simulate_ensemble(self.PARAMS, config)
+        second = simulate_ensemble(self.PARAMS, config)
+        assert not np.shares_memory(first.paths, second.paths)
+
+    def test_reused_arrays_give_the_fresh_paths(self):
+        out = ensemble_arrays(300, 247)
+        for seed in (3, 2**100 + 3, 77):
+            config = SimulationConfig(300, 247, seed)
+            reused = simulate_ensemble(self.PARAMS, config, out=out)
+            assert np.shares_memory(reused.paths, out[1])
+            assert not reused.paths.flags.writeable and out[1].flags.writeable
+            assert np.array_equal(reused.paths, simulate_ensemble(self.PARAMS, config).paths)
+
+    @pytest.mark.parametrize("shape", [(10, 24), (10, 19), (11, 20)])
+    def test_arrays_of_another_shape_are_data_error(self, shape):
+        with pytest.raises(DataError, match="shape"):
+            simulate_ensemble(self.PARAMS, SimulationConfig(10, 20, 0), out=ensemble_arrays(*shape))
 
 
 class TestEnvelope:
