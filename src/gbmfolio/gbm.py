@@ -6,6 +6,15 @@ sqrt(dt). Path i of an ensemble is row i of the seed's counter stream
 (see streams.py), turned into normals by Box-Muller, so it depends on
 (seed, i) alone and results are reproducible regardless of execution order,
 and of which arrays the ensemble is drawn into.
+
+Box-Muller and the GBM steps work time-major: one row per step, one
+column per path. The stream is drawn path-major, one row per path, and
+read transposed by Box-Muller's first operation on each half, into a
+contiguous (steps, paths) work array; every later ufunc then runs over
+whole contiguous rows, where on path-major views NumPy would call its
+inner loop once per path. One transposed copy gives the path-major
+PathSet that scoring reads. The arithmetic on each element is
+unchanged, so every path is bit-identical to the one drawn alone.
 """
 
 import math
@@ -85,105 +94,130 @@ def wiener_increments(n, dt, rng):
 
 
 def gbm_paths(s0, mu, sigma, dt, normals, out=None):
-    """Closed-form GBM paths from pre-drawn standard normals.
+    """Closed-form GBM paths from pre-drawn standard normals, time-major.
 
-    normals has shape (n_paths, horizon); the result has shape
-    (n_paths, horizon + 1) with column 0 fixed at s0. It is written into
-    `out` when one is given, and into a fresh array otherwise.
+    normals has shape (horizon, n_paths), one row per step; the result has
+    shape (horizon + 1, n_paths) with row 0 fixed at s0. It is written into
+    `out` when one is given, and into a fresh array otherwise; `out[1:]`
+    may be `normals` itself.
     """
     normals = np.asarray(normals, dtype=float)
-    shape = (normals.shape[0], normals.shape[1] + 1)
+    shape = (normals.shape[0] + 1, normals.shape[1])
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape:
         raise DataError(f"out has shape {out.shape}, need {shape}")
-    out[:, 0] = s0
-    log_rel = out[:, 1:]
+    out[0] = s0
+    log_rel = out[1:]
     np.multiply(normals, sigma * np.sqrt(dt), out=log_rel)
     log_rel += (mu - 0.5 * sigma * sigma) * dt
-    np.cumsum(log_rel, axis=1, out=log_rel)
+    np.cumsum(log_rel, axis=0, out=log_rel)
     np.exp(log_rel, out=log_rel)
     log_rel *= s0
     return out
 
 
-def box_muller(uniforms, horizon):
-    """The first `horizon` normals of each row of 2*ceil(horizon/2) uniforms.
+def box_muller(uniforms, horizon, out=None, scratch=None):
+    """The first `horizon` normals of each column of 2*ceil(horizon/2) uniforms.
 
-    The left half of a row gives the radii, r = sqrt(-2 log(1 - u)), so the
-    logarithm never sees 0; the right half gives the angles, theta = 2 pi u.
-    The normals are r cos(theta) followed by r sin(theta), written over
-    `uniforms`. Both come from the half-angle tangent t = tan(pi u), one
+    Time-major: uniforms has one row per step and one column per path, with
+    any strides (the transpose of a path-major block reads it in place).
+    The top half of a column gives the radii, r = sqrt(-2 log(1 - u)), so
+    the logarithm never sees 0; the bottom half gives the angles,
+    theta = 2 pi u. The normals are r cos(theta) followed by r sin(theta),
+    written into `out`, a contiguous array of uniforms' shape (fresh when
+    not given). Both come from the half-angle tangent t = tan(pi u), one
     ufunc where cos and sin would be two slower ones:
     r cos(theta) = 2r / (1 + t^2) - r and r sin(theta) = 2rt / (1 + t^2).
-    At u = 1/2, tan(pi u) is about 1.6e16, so t^2 stays finite.
+    At u = 1/2, tan(pi u) is about 1.6e16, so t^2 stays finite. 2r / (1 + t^2)
+    is held in `scratch`, a (half, n_paths) array (fresh when not given).
     """
-    half = uniforms.shape[1] // 2
-    radius, tangent = uniforms[:, :half], uniforms[:, half:]
-    np.subtract(1.0, radius, out=radius)
+    half = uniforms.shape[0] // 2
+    if out is None:
+        out = np.empty(uniforms.shape)
+    elif out.shape != uniforms.shape:
+        raise DataError(f"out has shape {out.shape}, need {uniforms.shape}")
+    radius, tangent = out[:half], out[half:]
+    np.subtract(1.0, uniforms[:half], out=radius)
+    np.multiply(uniforms[half:], math.pi, out=tangent)
     np.log(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    tangent *= math.pi
     np.tan(tangent, out=tangent)
-    scale = np.multiply(tangent, tangent)
+    scale = np.multiply(tangent, tangent, out=scratch)
     scale += 1.0
     np.divide(radius, scale, out=scale)
     scale *= 2.0  # 2r / (1 + t^2)
     tangent *= scale
     np.subtract(scale, radius, out=radius)
-    return uniforms[:, :horizon]
+    return out[:horizon]
 
 
 def _normals_width(horizon):
     return 2 * -(-horizon // 2)
 
 
+def _array_shapes(n_paths, horizon):
+    width = _normals_width(horizon)
+    return (n_paths, padded_width(width)), (width + 1, n_paths), (n_paths, horizon + 1)
+
+
 def ensemble_arrays(n_paths, horizon):
-    """Fresh (uniforms, paths) arrays for one draw of n_paths x horizon steps.
+    """Fresh (uniforms, steps, paths) arrays for one draw of n_paths x horizon steps.
 
-    Pass them to simulate_ensemble's `out` to draw any number of
-    ensembles of that shape into the same memory.
+    uniforms is the path-major stream block, steps the time-major work
+    array and paths the path-major result. Pass them to simulate_ensemble's
+    `out` to draw any number of ensembles of that shape into the same memory.
     """
-    uniforms = np.empty((n_paths, padded_width(_normals_width(horizon))))
-    return uniforms, np.empty((n_paths, horizon + 1))
+    return tuple(np.empty(shape) for shape in _array_shapes(n_paths, horizon))
 
 
-def _ensemble_normals(config, uniforms=None):
-    width = _normals_width(config.horizon)
+def _ensemble_normals(config, arrays=None):
+    """The (horizon, n_paths) normals an ensemble is drawn from: rows 1.. of `steps`.
+
+    The uniform block is read transposed, and Box-Muller's scratch rows are
+    the front of `paths`, which is written only once the normals are used.
+    """
+    uniforms, steps, paths = arrays or ensemble_arrays(config.n_paths, config.horizon)
+    width = steps.shape[0] - 1
     rows = uniform_rows(config.seed, 0, config.n_paths, width, out=uniforms)
-    return box_muller(rows, config.horizon)
+    scratch = paths.reshape(-1)[: rows.size // 2].reshape(-1, config.n_paths)
+    return box_muller(rows.T, config.horizon, out=steps[1:], scratch=scratch)
 
 
 def simulate_ensemble(params, config, out=None):
     """n_paths independent paths; path i depends only on (seed, i).
 
-    `out` is a (uniforms, paths) pair from ensemble_arrays(n_paths,
+    `out` is a (uniforms, steps, paths) triple from ensemble_arrays(n_paths,
     horizon) to draw into, as NumPy's `out=` arguments are: the returned
-    PathSet then views `paths`, and the next draw into the same pair
+    PathSet then views `paths`, and the next draw into the same arrays
     overwrites it. Without `out`, each call draws into arrays of its own.
     """
-    uniforms, paths = ensemble_arrays(config.n_paths, config.horizon) if out is None else out
-    normals = _ensemble_normals(config, uniforms)
-    gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals, out=paths)
+    if out is None:
+        out = ensemble_arrays(config.n_paths, config.horizon)
+    shapes = _array_shapes(config.n_paths, config.horizon)
+    if tuple(a.shape for a in out) != shapes:
+        raise DataError(f"out has shapes {[a.shape for a in out]}, need {list(shapes)}")
+    _, steps, paths = out
+    normals = _ensemble_normals(config, out)
+    steps = steps[: config.horizon + 1]
+    gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals, out=steps)
+    np.copyto(paths, steps.T)
     return PathSet(paths, params, config)
 
 
-def _nearest_rank(sorted_cols, q):
-    # sorted_cols: (n_paths, steps) sorted along axis 0; q=0 maps to the minimum
-    n = sorted_cols.shape[0]
-    idx = max(int(math.ceil(q * n)) - 1, 0)
-    return sorted_cols[idx].copy()
-
-
 def envelope(pathset, lower_q=0.05, upper_q=0.95):
-    """Nearest-rank quantile band plus the arithmetic mean path."""
+    """Nearest-rank quantile band plus the arithmetic mean path.
+
+    Quantile q is the value of rank ceil(q n), counted from 1 (q = 0 gives
+    the minimum), read from a time-major copy of the paths sorted along
+    its contiguous rows.
+    """
     if not (0 <= lower_q < upper_q <= 1):
         raise DataError("need 0 <= lower_q < upper_q <= 1")
     paths = pathset.paths
-    sorted_cols = np.sort(paths, axis=0)
-    return Envelope(
-        lower=_nearest_rank(sorted_cols, lower_q),
-        upper=_nearest_rank(sorted_cols, upper_q),
-        mean=paths.mean(axis=0),
-    )
+    n = paths.shape[0]
+    steps = paths.T.copy()
+    steps.sort(axis=1)
+    lower, upper = steps[:, [max(math.ceil(q * n) - 1, 0) for q in (lower_q, upper_q)]].T
+    return Envelope(lower=lower, upper=upper, mean=paths.mean(axis=0))

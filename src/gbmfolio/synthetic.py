@@ -44,7 +44,7 @@ def make_universe(
         mu = rng.uniform(-0.001, 0.002)
         sigma = rng.uniform(0.005, 0.035)
         s0 = rng.uniform(5.0, 80.0)
-        prices = gbm_paths(s0, mu, sigma, 1.0, rng.standard_normal((1, horizon)))[0]
+        prices = gbm_paths(s0, mu, sigma, 1.0, rng.standard_normal((horizon, 1)))[:, 0]
         with open(data_dir / f"{ticker}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"])

@@ -147,6 +147,26 @@ class TestSimulate:
         assert env[0]["day_index"] == "0"
         assert float(env[0]["actual"]) == float(env[0]["mean"])
 
+    def test_envelope_rows_format_the_band(self, universe_dir, tmp_path, monkeypatch):
+        # a row per day: its index and ISO date, then actual, mean, q05 and q95 to 12 digits
+        forecasts = {}
+        forecast = cli.Run.forecast
+
+        def keep(run, subject):
+            forecasts[subject] = forecast(run, subject)
+            return forecasts[subject]
+
+        monkeypatch.setattr(cli.Run, "forecast", keep)
+        assert run(universe_dir, tmp_path, "--paths", "50", "simulate", "--subject", "SYN02") == 0
+        _, band, actual = forecasts["SYN02"]
+        columns = zip(actual.dates, actual.prices, band.mean, band.lower, band.upper)
+        expected = ["day_index,date,actual,mean,q05,q95\n"] + [
+            f"{k},{day.isoformat()},{price:.12g},{mean:.12g},{lower:.12g},{upper:.12g}\n"
+            for k, (day, price, mean, lower, upper) in enumerate(columns)
+        ]
+        with open(tmp_path / "envelope_SYN02.csv", newline="") as fh:
+            assert fh.readlines() == expected
+
     def test_group_subject(self, universe_dir, tmp_path):
         rc = run(
             universe_dir, tmp_path, "--group-count", "3", "--group-size", "2",

@@ -1,11 +1,17 @@
+import datetime as dt
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gbmfolio.errors import DataError
 from gbmfolio.gbm import (
     GbmParams,
+    PathSet,
     SimulationConfig,
     _ensemble_normals,
     box_muller,
@@ -16,6 +22,10 @@ from gbmfolio.gbm import (
     wiener_increments,
 )
 from gbmfolio.streams import uniform_rows
+from gbmfolio.synthetic import make_universe
+
+HORIZONS = (1, 2, 5, 6, 247, 248)  # odd and even, around one and two stream counters
+N_PATHS = (1, 3, 300)
 
 
 class TestWienerIncrements:
@@ -57,7 +67,7 @@ class TestGbmPath:
     def test_log_increment_moments(self, rng):
         # Fig-2-scale parameters: mu = 0.0004, sigma = 0.01
         mu, sigma, n = 0.0004, 0.01, 100_000
-        path = gbm_paths(100.0, mu, sigma, 1.0, rng.standard_normal((1, n)))[0]
+        path = gbm_paths(100.0, mu, sigma, 1.0, rng.standard_normal((n, 1)))[:, 0]
         inc = np.diff(np.log(path))
         se = sigma / math.sqrt(n)
         assert abs(inc.mean() - (mu - sigma**2 / 2)) <= 5 * se
@@ -83,15 +93,19 @@ class TestGbmPaths:
     def test_closed_form_oracle(self, rng):
         # S(k) = s0 * exp(sum_{j<=k} (mu - sigma^2/2) dt + sigma sqrt(dt) z_j), step by step
         s0, mu, sigma, dt = 50.0, 0.001, 0.02, 0.5
-        normals = rng.standard_normal((3, 10))
+        normals = rng.standard_normal((10, 3))  # time-major: one row per step
         out = gbm_paths(s0, mu, sigma, dt, normals)
-        assert out.shape == (3, 11)
+        assert out.shape == (11, 3)
         for i in range(3):
-            assert out[i, 0] == s0
+            assert out[0, i] == s0
             log_rel = 0.0
             for k in range(10):
-                log_rel += (mu - sigma * sigma / 2) * dt + sigma * math.sqrt(dt) * normals[i, k]
-                assert out[i, k + 1] == pytest.approx(s0 * math.exp(log_rel), rel=1e-12)
+                log_rel += (mu - sigma * sigma / 2) * dt + sigma * math.sqrt(dt) * normals[k, i]
+                assert out[k + 1, i] == pytest.approx(s0 * math.exp(log_rel), rel=1e-12)
+
+    def test_wrong_out_shape_is_data_error(self, rng):
+        with pytest.raises(DataError, match="shape"):
+            gbm_paths(1.0, 0.0, 0.01, 1.0, rng.standard_normal((4, 2)), out=np.empty((2, 5)))
 
 
 def reference_box_muller(uniforms, horizon):
@@ -110,6 +124,13 @@ def reference_box_muller(uniforms, horizon):
     return uniforms[:, :horizon]
 
 
+def path_drawn_alone(params, seed, i, horizon):
+    """Path i from its own stream row: one column through box_muller and gbm_paths."""
+    width = 2 * -(-horizon // 2)
+    normals = box_muller(uniform_rows(seed, i, 1, width).T, horizon)
+    return gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals)[:, 0]
+
+
 class TestPathStream:
     """Path i is row i of the seed's stream, turned into normals by Box-Muller."""
 
@@ -123,14 +144,16 @@ class TestPathStream:
             assert np.array_equal(uniform_rows(seed, i, 1, self.WIDTH)[0], block[i])
         assert np.array_equal(uniform_rows(seed, 4000, 100, self.WIDTH), block[4000:4100])
 
-    def test_ensemble_path_drawn_alone(self):
+    @pytest.mark.parametrize("n_paths", N_PATHS)
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_ensemble_path_drawn_alone(self, horizon, n_paths):
         params = GbmParams(100.0, 0.0004, 0.01)
-        config = SimulationConfig(500, self.HORIZON, 42)
-        paths = simulate_ensemble(params, config).paths
-        for i in (0, 1, 499):
-            normals = box_muller(uniform_rows(42, i, 1, self.WIDTH), self.HORIZON)
-            alone = gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals)[0]
-            assert np.array_equal(alone, paths[i])
+        out = ensemble_arrays(n_paths, horizon)
+        for seed in (42, 2**100 + 3):
+            config = SimulationConfig(n_paths, horizon, seed)
+            paths = simulate_ensemble(params, config, out=out).paths
+            for i in range(n_paths):
+                assert np.array_equal(path_drawn_alone(params, seed, i, horizon), paths[i])
 
     def test_box_muller_moments(self):
         z = _ensemble_normals(SimulationConfig(4000, 250, 2024)).ravel()
@@ -141,29 +164,37 @@ class TestPathStream:
         assert kurtosis == pytest.approx(3.0, abs=0.05)
 
     def test_box_muller_finite_at_zero_uniform(self):
-        u = np.zeros((1, 4))
-        assert np.array_equal(box_muller(u, 3), np.zeros((1, 3)))
+        u = np.zeros((4, 1))
+        assert np.array_equal(box_muller(u, 3), np.zeros((3, 1)))
+
+    def test_box_muller_leaves_uniforms_and_checks_out(self):
+        uniforms = uniform_rows(5, 0, 3, 6)
+        before = uniforms.copy()
+        box_muller(uniforms.T, 5)
+        assert np.array_equal(uniforms, before)
+        with pytest.raises(DataError, match="shape"):
+            box_muller(uniforms.T, 5, out=np.empty((3, 6)))
 
     def test_half_angle_matches_cos_sin_reference(self):
         uniforms = uniform_rows(2024, 0, 4100, self.WIDTH)
         assert uniforms.size >= 1_000_000
-        normals = box_muller(uniforms.copy(), self.HORIZON)
+        normals = box_muller(uniforms.T, self.HORIZON)
         reference = reference_box_muller(uniforms.copy(), self.HORIZON)
-        np.testing.assert_allclose(normals, reference, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(normals, reference.T, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("angle", [0.0, 0.25, 0.5, 0.75, 1 - 2**-53])
     def test_half_angle_edge_uniforms(self, angle):
         # 0.5 puts tan(pi u) at its pole; the radii run from 0 to the largest
         radii = np.array([0.0, 0.3, 0.5, 1 - 2**-53])
         uniforms = np.column_stack([radii, np.full(radii.size, angle)])
-        normals = box_muller(uniforms.copy(), 2)
+        normals = box_muller(uniforms.T, 2)
         assert np.all(np.isfinite(normals))
         reference = reference_box_muller(uniforms.copy(), 2)
-        np.testing.assert_allclose(normals, reference, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(normals, reference.T, rtol=0, atol=1e-14)
 
     def test_odd_horizon_uses_padded_row(self):
         normals = _ensemble_normals(SimulationConfig(3, 5, 1))
-        assert normals.shape == (3, 5)
+        assert normals.shape == (5, 3)
         assert np.all(np.isfinite(normals))
 
     def test_negative_seed_is_data_error(self):
@@ -231,19 +262,82 @@ class TestDrawArrays:
         second = simulate_ensemble(self.PARAMS, config)
         assert not np.shares_memory(first.paths, second.paths)
 
-    def test_reused_arrays_give_the_fresh_paths(self):
-        out = ensemble_arrays(300, 247)
+    @pytest.mark.parametrize("n_paths", N_PATHS)
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_reused_arrays_give_the_fresh_paths(self, horizon, n_paths):
+        out = ensemble_arrays(n_paths, horizon)
         for seed in (3, 2**100 + 3, 77):
-            config = SimulationConfig(300, 247, seed)
+            config = SimulationConfig(n_paths, horizon, seed)
             reused = simulate_ensemble(self.PARAMS, config, out=out)
-            assert np.shares_memory(reused.paths, out[1])
-            assert not reused.paths.flags.writeable and out[1].flags.writeable
+            assert np.shares_memory(reused.paths, out[2])
+            assert not reused.paths.flags.writeable and out[2].flags.writeable
             assert np.array_equal(reused.paths, simulate_ensemble(self.PARAMS, config).paths)
 
     @pytest.mark.parametrize("shape", [(10, 24), (10, 19), (11, 20)])
     def test_arrays_of_another_shape_are_data_error(self, shape):
         with pytest.raises(DataError, match="shape"):
             simulate_ensemble(self.PARAMS, SimulationConfig(10, 20, 0), out=ensemble_arrays(*shape))
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_one_array_of_another_shape_is_data_error(self, which):
+        out = list(ensemble_arrays(10, 20))
+        out[which] = np.empty(out[which].shape[::-1])
+        with pytest.raises(DataError, match="shape"):
+            simulate_ensemble(self.PARAMS, SimulationConfig(10, 20, 0), out=tuple(out))
+
+    def test_reused_draw_allocates_under_a_tenth_of_the_paths(self):
+        config = SimulationConfig(1000, 247, 5)
+        out = ensemble_arrays(1000, 247)
+        paths = simulate_ensemble(self.PARAMS, config, out=out).paths
+        assert peak_allocation(lambda: simulate_ensemble(self.PARAMS, config, out=out)) < (
+            0.1 * paths.nbytes
+        )
+
+
+def peak_allocation(call):
+    """Peak bytes traced by tracemalloc while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def reference_envelope(pathset, lower_q=0.05, upper_q=0.95):
+    """envelope of version 0.3.0 as first released, sorting down path-major columns."""
+    paths = pathset.paths
+    sorted_cols = np.sort(paths, axis=0)
+    n = sorted_cols.shape[0]
+
+    def nearest_rank(q):
+        return sorted_cols[max(int(math.ceil(q * n)) - 1, 0)].copy()
+
+    return nearest_rank(lower_q), nearest_rank(upper_q), paths.mean(axis=0)
+
+
+def as_pathset(paths):
+    """The given (n_paths, steps) paths as a PathSet."""
+    n_paths, steps = np.shape(paths)
+    config = SimulationConfig(n_paths, max(steps - 1, 1), 0)
+    return PathSet(np.array(paths, dtype=float), GbmParams(1.0, 0.0, 0.0), config)
+
+
+# prices with ties, infinities and constant paths; no NaN, which has no rank
+PRICES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, math.inf]),
+    st.floats(allow_nan=False, allow_infinity=True),
+)
+
+
+@st.composite
+def path_sets(draw):
+    n_paths = draw(st.integers(1, 64))
+    steps = draw(st.integers(1, 6))
+    varying = st.lists(PRICES, min_size=steps, max_size=steps)
+    constant = PRICES.map(lambda price: [price] * steps)
+    paths = st.lists(st.one_of(varying, constant), min_size=n_paths, max_size=n_paths)
+    return as_pathset(draw(paths))
 
 
 class TestEnvelope:
@@ -261,17 +355,45 @@ class TestEnvelope:
 
     def test_nearest_rank_oracle(self):
         # three constant paths at 90/100/110: median 100, upper(q=1) 110
-        params = GbmParams(100.0, 0.0, 0.0)
-        config = SimulationConfig(3, 4, 0)
-        paths = np.array([[90.0] * 5, [100.0] * 5, [110.0] * 5])
-        from gbmfolio.gbm import PathSet
-
-        env = envelope(PathSet(paths, params, config), 0.5, 1.0)
+        env = envelope(as_pathset([[90.0] * 5, [100.0] * 5, [110.0] * 5]), 0.5, 1.0)
         assert np.all(env.lower == 100.0)
         assert np.all(env.upper == 110.0)
         assert np.all(env.mean == 100.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(path_sets(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(as_pathset([[1.0, math.inf]] * 3), 0.0, 1.0)
+    @example(as_pathset([[2.0, 3.0]]), 0.0, 1.0)
+    def test_matches_the_column_sort_reference(self, pathset, q1, q2):
+        lower_q, upper_q = sorted((q1, q2))
+        if lower_q == upper_q:
+            lower_q, upper_q = 0.0, 1.0
+        with np.errstate(all="ignore"):  # the mean of inf and -inf is nan
+            env = envelope(pathset, lower_q, upper_q)
+            reference = reference_envelope(pathset, lower_q, upper_q)
+        for got, want in zip((env.lower, env.upper, env.mean), reference):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_allocates_at_most_a_tenth_more_than_the_paths(self):
+        params = GbmParams(100.0, 0.0004, 0.01)
+        ps = simulate_ensemble(params, SimulationConfig(1000, 247, 5))
+        assert peak_allocation(lambda: envelope(ps)) <= 1.1 * ps.paths.nbytes
 
     def test_invalid_quantiles(self):
         ps = simulate_ensemble(GbmParams(100.0, 0.0, 0.01), SimulationConfig(5, 5, 0))
         with pytest.raises(DataError):
             envelope(ps, 0.9, 0.1)
+
+
+class TestSyntheticUniverse:
+    def test_files_pinned(self, tmp_path):
+        # the files as version 0.3.0 first wrote them: the fixture prices never move
+        tickers = make_universe(
+            tmp_path, n_assets=3, start=dt.date(2019, 1, 1), end=dt.date(2019, 3, 29), seed=7
+        )
+        digest = hashlib.sha256()
+        for ticker in tickers:
+            digest.update((tmp_path / f"{ticker}.csv").read_bytes())
+        assert digest.hexdigest() == (
+            "01e4e0bdbf3e1f68149176a01eef3d8ab7e36dc0f92428e7992770f553b25ca3"
+        )
