@@ -215,10 +215,11 @@ class Run:
 
     @cached_property
     def panel(self):
-        """Every ticker inner-joined over calibration_start..evaluation_end."""
-        c = self.config
-        panel = align_panel([self.series[t] for t in self.tickers])
-        return slice_panel(panel, c.calibration_start, c.evaluation_end)
+        """Every ticker inner-joined over calibration_start..evaluation_end.
+
+        Each series is already cut to that window, and the join cannot widen it.
+        """
+        return align_panel([self.series[t] for t in self.tickers])
 
     @cached_property
     def calibration_panel(self):
@@ -249,15 +250,14 @@ class Run:
         """The tickers ranked by stats.csv's `metric` and cut into groups, once per run."""
         if metric not in self._groups:
             c = self.config
-            grouping = rank_and_group(
+            ranked = rank_and_group(
                 [self.calibration_stats(t) for t in self.tickers],
                 metric,
                 group_count=c.group_count,
                 group_size=c.group_size,
             )
             self._groups[metric] = tuple(
-                Group(self, metric, index, members)
-                for index, members in enumerate(grouping.groups)
+                Group(self, metric, index, members) for index, members in enumerate(ranked)
             )
         return self._groups[metric]
 

@@ -26,6 +26,9 @@ class RunConfig:
     mape_denominator: str = "forecast"
 
     def __post_init__(self):
+        for key in ("data_dir", "out_dir"):
+            if not getattr(self, key):
+                raise DataError(f"{key} is empty; name a directory (. for the current one)")
         if self.calibration_end >= self.evaluation_start:
             raise DataError("calibration window must end before evaluation window starts")
         if self.n_paths < 1 or self.n_trials < 1:

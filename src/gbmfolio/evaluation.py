@@ -36,7 +36,6 @@ DEFAULT_HORIZONS = (
     HorizonSpec("1y", 247),
 )
 
-BANDS = ("high", "good", "reasonable", "imprecise")
 MAPE_DENOMINATORS = ("forecast", "actual")
 
 
@@ -52,38 +51,6 @@ class HorizonResult:
 class EvalReport:
     subject: str
     results: tuple  # HorizonResult per horizon, in input order
-
-
-def pearson_correlation(x, y):
-    """Product-moment correlation of two equal-length samples."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-        raise DataError("correlation needs two equal-length samples of >= 2 points")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
-    if denom == 0.0:
-        raise NumericError("undefined correlation: constant input")
-    r = float(dx @ dy) / denom
-    return max(-1.0, min(1.0, r))
-
-
-def mape(actual, forecast, denominator="forecast"):
-    """Mean absolute percentage error between two price lists."""
-    actual = np.asarray(actual, dtype=float)
-    forecast = np.asarray(forecast, dtype=float)
-    if actual.shape != forecast.shape or len(actual) < 1:
-        raise DataError("mape needs two equal-length nonempty lists")
-    if denominator == "forecast":
-        base = forecast
-    elif denominator == "actual":
-        base = actual
-    else:
-        raise DataError(f"unknown denominator {denominator!r}")
-    if np.any(base == 0):
-        raise NumericError("undefined MAPE: zero denominator value")
-    return float(np.mean(np.abs(actual - forecast) / base))
 
 
 def classify_mape(value):

@@ -1,4 +1,4 @@
-"""Wiener increments and closed-form geometric Brownian motion paths.
+"""Closed-form geometric Brownian motion ensembles and their quantile band.
 
 Paths follow S(t) = S(0) * exp((mu - sigma^2/2) t + sigma W(t)) sampled
 at daily steps, with W built from standard-normal increments scaled by
@@ -66,8 +66,6 @@ class PathSet:
     """
 
     paths: np.ndarray
-    params: GbmParams
-    config: SimulationConfig
 
     def __post_init__(self):
         paths = np.asarray(self.paths, dtype=float).view()
@@ -82,15 +80,6 @@ class Envelope:
     lower: np.ndarray
     upper: np.ndarray
     mean: np.ndarray
-
-
-def wiener_increments(n, dt, rng):
-    """n draws of eps * sqrt(dt), eps standard normal."""
-    if n < 1:
-        raise DataError("need at least one increment")
-    if dt <= 0:
-        raise DataError("dt must be positive")
-    return rng.standard_normal(n) * math.sqrt(dt)
 
 
 def gbm_paths(s0, mu, sigma, dt, normals, out=None):
@@ -203,7 +192,7 @@ def simulate_ensemble(params, config, out=None):
     steps = steps[: config.horizon + 1]
     gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals, out=steps)
     np.copyto(paths, steps.T)
-    return PathSet(paths, params, config)
+    return PathSet(paths)
 
 
 def envelope(pathset, lower_q=0.05, upper_q=0.95):

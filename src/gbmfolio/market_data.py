@@ -185,11 +185,6 @@ def align_panel(series_list):
     return PricePanel(tuple(s.ticker for s in series_list), dates, matrix)
 
 
-def normalize_base100(series):
-    """Rescale so the first price is exactly 100, preserving all returns."""
-    return PriceSeries(series.ticker, series.dates, series.prices / series.prices[0] * 100.0)
-
-
 def slice_period(series, start, end):
     """Rows with start <= date <= end; error if fewer than 2 remain."""
     if start > end:

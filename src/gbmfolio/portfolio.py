@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .market_data import TRADING_DAYS_PER_YEAR, PriceSeries
-from .stats import sharpe_ratio
 from .streams import uniform_rows
 
 WEIGHT_SUM_TOL = 1e-9
@@ -48,14 +47,6 @@ class PortfolioStats:
     sharpe: float
 
 
-@dataclass(frozen=True)
-class PortfolioGroup:
-    """Universe partitioned into equal groups, best metric values first."""
-
-    metric: str  # "return", "risk" or "sharpe"
-    groups: tuple  # tuple of tuples of tickers
-
-
 def portfolio_value_series(panel, weights, capital, name="portfolio"):
     """Buy-and-hold value series: capital split by weight on day 0."""
     if len(weights) != len(panel.tickers):
@@ -78,13 +69,6 @@ def _normalize_rows(u):
         total[zero] = u.shape[1]
     u /= total[:, None]
     return u
-
-
-def random_weights(n_assets, rng):
-    """Independent uniforms normalized by their sum."""
-    if n_assets < 1:
-        raise DataError("need at least one asset")
-    return Weights(_normalize_rows(rng.random((1, n_assets)))[0])
 
 
 def trial_weights(seed, first, count, n_assets):
@@ -123,15 +107,6 @@ def _calibrate(panel):
     mu_daily = log_rets.mean(axis=0)
     cov_daily = np.cov(log_rets, rowvar=False, ddof=1).reshape(len(panel.tickers), -1)
     return mu_daily, cov_daily
-
-
-def portfolio_stats(panel, weights, risk_free):
-    """Annualized return/risk/Sharpe for one weight vector."""
-    if len(weights) != len(panel.tickers):
-        raise DataError("weights do not match panel tickers")
-    mu_daily, cov_daily = _calibrate(panel)
-    ret, risk = trial_stats(weights.values[None, :], mu_daily, cov_daily)
-    return PortfolioStats(float(ret[0]), float(risk[0]), sharpe_ratio(ret[0], risk[0], risk_free))
 
 
 def optimize_max_sharpe(panel, n_trials, seed, risk_free, block_size=8192):
@@ -186,15 +161,15 @@ def _metric_value(stats, metric):
 def rank_and_group(stats, metric, group_count=6, group_size=13):
     """Sort per-asset stats descending by a metric and chunk their tickers.
 
-    Ties break by ticker so the grouping is deterministic. The number of
-    assets must equal group_count * group_size.
+    Returns group_count tuples of group_size tickers, best metric values
+    first. Ties break by ticker so the grouping is deterministic. The
+    number of assets must equal group_count * group_size.
     """
     n = len(stats)
     if n != group_count * group_size:
         raise DataError(f"universe of {n} tickers does not split into {group_count}x{group_size}")
     ranked = sorted(stats, key=lambda s: (-_metric_value(s, metric), s.ticker))
-    groups = tuple(
+    return tuple(
         tuple(s.ticker for s in ranked[g * group_size : (g + 1) * group_size])
         for g in range(group_count)
     )
-    return PortfolioGroup(metric, groups)

@@ -1,8 +1,8 @@
 """Return, risk and Sharpe computations on daily price series.
 
-Log returns drive all calibration and annualized statistics; simple
-returns are kept for display parity. Annualization uses 252 trading
-days: mean daily return x 252, daily standard deviation x sqrt(252).
+Log returns drive all calibration and annualized statistics.
+Annualization uses 252 trading days: mean daily return x 252, daily
+standard deviation x sqrt(252).
 """
 
 import math
@@ -12,28 +12,6 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .market_data import TRADING_DAYS_PER_YEAR
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Per-day returns; one fewer entry than the source prices."""
-
-    dates: tuple  # date of the later day of each pair
-    values: np.ndarray
-    kind: str  # "simple" or "log"
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "dates", tuple(self.dates))
-        if self.kind not in ("simple", "log"):
-            raise DataError(f"unknown return kind {self.kind!r}")
-        if len(self.dates) != len(values):
-            raise DataError("return dates and values length mismatch")
-
-    def __len__(self):
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -51,32 +29,10 @@ class AssetStats:
     sharpe: float | None
 
 
-def simple_returns(series):
-    """(P1 - P0) / P0 for each consecutive price pair."""
-    p = series.prices
-    return ReturnSeries(series.dates[1:], p[1:] / p[:-1] - 1.0, "simple")
-
-
 def log_returns(series):
     """ln(P1 / P0) for each consecutive price pair; additive over windows."""
     p = series.prices
-    return ReturnSeries(series.dates[1:], np.log(p[1:] / p[:-1]), "log")
-
-
-def annualize_return(returns):
-    """Mean daily log return scaled to a year (x 252)."""
-    if returns.kind != "log":
-        raise DataError("annualized return is defined on log returns")
-    if len(returns) == 0:
-        raise DataError("cannot annualize an empty return series")
-    return float(np.mean(returns.values)) * TRADING_DAYS_PER_YEAR
-
-
-def annualize_risk(returns):
-    """Sample (n-1) standard deviation of daily returns, scaled by sqrt(252)."""
-    if len(returns) < 2:
-        raise DataError("risk needs at least 2 returns")
-    return float(np.std(returns.values, ddof=1)) * math.sqrt(TRADING_DAYS_PER_YEAR)
+    return np.log(p[1:] / p[:-1])
 
 
 def sharpe_ratio(return_annual, risk_annual, risk_free):
@@ -91,8 +47,8 @@ def asset_stats(series, risk_free):
     rets = log_returns(series)
     if len(rets) < 2:
         raise DataError(f"{series.ticker}: need at least 3 prices for stats")
-    mu_daily = float(np.mean(rets.values))
-    sigma_daily = float(np.std(rets.values, ddof=1))
+    mu_daily = float(np.mean(rets))
+    sigma_daily = float(np.std(rets, ddof=1))
     return_annual = mu_daily * TRADING_DAYS_PER_YEAR
     risk_annual = sigma_daily * math.sqrt(TRADING_DAYS_PER_YEAR)
     sharpe = None

@@ -12,13 +12,13 @@ import pytest
 from gbmfolio.cli import main
 from gbmfolio.errors import NumericError
 from gbmfolio.evaluation import HorizonSpec, classify_mape, evaluate_ensemble
-from gbmfolio.gbm import GbmParams, SimulationConfig, simulate_ensemble, wiener_increments
-from gbmfolio.portfolio import Weights, optimize_max_sharpe, portfolio_stats
-from gbmfolio.stats import sharpe_ratio
+from gbmfolio.gbm import GbmParams, SimulationConfig, simulate_ensemble
+from gbmfolio.portfolio import Weights, optimize_max_sharpe
+from gbmfolio.stats import log_returns, sharpe_ratio
 from gbmfolio.synthetic import make_universe
 
 from conftest import series
-from test_portfolio import dominant_pair_panel, gbm_prices, panel_from_columns
+from test_portfolio import dominant_pair_panel, gbm_prices, panel_from_columns, portfolio_stats
 
 
 def ok(msg):
@@ -69,16 +69,24 @@ def test_03_gbm_moment_check():
 
 
 def test_04_wiener_scaling():
-    inc = wiener_increments(1_000_000, 4.0, np.random.default_rng(2))
+    def increments(dt):
+        # mu = sigma^2 / 2: each log increment is sigma sqrt(dt) times a normal
+        ps = simulate_ensemble(GbmParams(1.0, 0.5, 1.0, dt=dt), SimulationConfig(4000, 250, 2))
+        return np.diff(np.log(ps.paths), axis=1)
+
+    inc = increments(4.0)
+    assert inc.size == 1_000_000
     assert inc.std() == pytest.approx(2.0, abs=0.01)
-    ok("criterion 4: 1e6 increments at dt=4 have sample std 2.0 +- 0.01")
+    assert np.max(np.abs(inc - 2.0 * increments(1.0))) <= 1e-14
+    ok("criterion 4: 1e6 increments at dt=4 have sample std 2.0 +- 0.01, twice those at dt=1")
 
 
 def test_05_taylor_bound():
     rng = np.random.default_rng(3)
     p0 = rng.uniform(1, 1000, 10_000)
     rs = rng.uniform(-0.1, 0.1, 10_000)
-    rlog = np.log(p0 * (1 + rs) / p0)
+    pairs = np.column_stack([p0, p0 * (1 + rs)]).ravel()
+    rlog = log_returns(series(pairs))[::2]  # within each (P0, P1) pair
     assert np.all(np.abs(rlog - rs) <= rs * rs + 1e-15)
     ok("criterion 5: |R_log - R_s| <= R_s^2 for 1e4 random pairs with |R_s| <= 0.1")
 

@@ -374,6 +374,26 @@ class TestUsageAndConfig:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("key", ["data_dir", "out_dir"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_empty_directory_is_data_error(
+        self, universe_dir, tmp_path, monkeypatch, capsys, key, route
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        monkeypatch.chdir(data)  # where an empty path would point
+        dirs = {"data_dir": str(data), "out_dir": str(tmp_path / "out"), key: ""}
+        if route == "flag":
+            argv = ["--data-dir", dirs["data_dir"], "--out-dir", dirs["out_dir"]]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in dirs.items()))
+            argv = ["--config", str(cfg)]
+        assert main([*argv, "stats"]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {key} is empty")
+        assert {p.name for p in data.iterdir()} == {p.name for p in universe_dir.iterdir()}
+        assert not (tmp_path / "out").exists()
+
 
 class TestTickerRule:
     """A ticker is letters, digits and . - ^ =, starting with a letter, a digit or ^,
@@ -603,6 +623,20 @@ class TestPipeline:
             assert run(universe_dir, out, *self.FLAGS, "simulate", "--subject", subject) == 0
             for file in (f"report_{subject}.csv", f"envelope_{subject}.csv"):
                 assert (out / file).read_bytes() == (tmp_path / "all" / file).read_bytes(), file
+
+    @pytest.mark.parametrize(
+        "command", [("group", "--metric", "sharpe"), ("simulate", "--subject", "risk-1")]
+    )
+    def test_a_joined_panel_of_one_date_is_data_error(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        make_universe(data, n_assets=2, seed=5)
+        for k, path in enumerate(sorted(data.glob("*.csv"))):
+            header, *rows = path.read_text().splitlines(keepends=True)
+            # the two tickers trade on alternate days and share only the first
+            path.write_text(header + rows[0] + "".join(rows[1 + k :: 2]))
+        flags = ("--group-count", "1", "--group-size", "2", "--paths", "10", "--trials", "10")
+        assert run(data, tmp_path / "out", *flags, *command) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
 
     def test_single_ticker_commands_read_only_their_file(self, universe_dir, tmp_path):
         data = tmp_path / "data"

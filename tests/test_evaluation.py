@@ -11,69 +11,88 @@ from gbmfolio.evaluation import (
     HorizonSpec,
     classify_mape,
     evaluate_ensemble,
-    mape,
-    pearson_correlation,
 )
 from gbmfolio.gbm import GbmParams, PathSet, SimulationConfig, simulate_ensemble
 
 from conftest import series
 
 
+def score_one_path(actual, forecast, denominator="forecast"):
+    """evaluate_ensemble's one horizon over days 1..h of a one-path ensemble.
+
+    Day 0, the shared starting price, is not scored.
+    """
+    actual = series([1.0, *actual])
+    pathset = PathSet([[1.0, *forecast]])
+    horizon = (HorizonSpec("h", len(forecast)),)
+    return evaluate_ensemble(pathset, actual, horizon, denominator).results[0]
+
+
 class TestPearson:
+    """Hand-computed correlations of a one-path ensemble."""
+
     def test_perfect_positive(self):
-        assert pearson_correlation([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
+        assert score_one_path([1, 2, 3], [1, 2, 3]).mean_correlation == pytest.approx(1.0)
 
     def test_perfect_negative(self):
-        assert pearson_correlation([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+        assert score_one_path([1, 2, 3], [3, 2, 1]).mean_correlation == pytest.approx(-1.0)
 
     def test_hand_computed(self):
-        # oracle: direct product-moment evaluation gives 3/5
-        assert pearson_correlation([1, 2, 3, 4], [2, 1, 4, 3]) == pytest.approx(0.6)
+        # oracle: direct product-moment evaluation, 3 / sqrt(5 * 5) = 3/5
+        assert score_one_path([1, 2, 3, 4], [2, 1, 4, 3]).mean_correlation == pytest.approx(0.6)
 
-    def test_constant_input_errors(self):
-        with pytest.raises(NumericError, match="undefined correlation"):
-            pearson_correlation([1, 1, 1], [1, 2, 3])
+    def test_constant_input_has_no_correlation(self):
+        assert score_one_path([1, 2, 3], [1, 1, 1]).mean_correlation is None
+        assert score_one_path([1, 1, 1], [1, 2, 3]).mean_correlation is None
 
     def test_affine_invariance(self, rng):
+        horizon = (HorizonSpec("h", 14),)
         for _ in range(20):
-            x = rng.standard_normal(15)
-            y = rng.standard_normal(15)
-            r = pearson_correlation(x, y)
-            assert pearson_correlation(3.5 * x + 2.0, y) == pytest.approx(r, abs=1e-10)
-            assert pearson_correlation(-2.0 * x + 1.0, y) == pytest.approx(-r, abs=1e-10)
+            actual = series(rng.uniform(1, 10, 15))
+            paths = rng.uniform(1, 10, (20, 15))
+
+            def corr(p):
+                return evaluate_ensemble(PathSet(p), actual, horizon).results[0].mean_correlation
+
+            r = corr(paths)
+            assert corr(3.5 * paths + 2.0) == pytest.approx(r, abs=1e-10)
+            assert corr(-2.0 * paths + 100.0) == pytest.approx(-r, abs=1e-10)
 
     def test_bounded(self, rng):
+        horizon = (HorizonSpec("h", 7),)
         for _ in range(200):
-            x = rng.standard_normal(8)
-            y = rng.standard_normal(8)
-            assert abs(pearson_correlation(x, y)) <= 1.0
+            ps = PathSet(rng.uniform(1, 10, (1, 8)))
+            r = evaluate_ensemble(ps, series(rng.uniform(1, 10, 8)), horizon).results[0]
+            assert abs(r.mean_correlation) <= 1.0
 
 
 class TestMape:
+    """Hand-computed MAPEs of a one-path ensemble."""
+
     def test_identity_zero(self):
-        assert mape([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+        assert score_one_path([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).mape == 0.0
 
     def test_single_term(self):
-        assert mape([110.0], [100.0]) == pytest.approx(0.10)
+        assert score_one_path([110.0], [100.0]).mape == pytest.approx(0.10)
 
     def test_two_terms(self):
-        assert mape([90.0, 120.0], [100.0, 100.0]) == pytest.approx(0.15)
+        assert score_one_path([90.0, 120.0], [100.0, 100.0]).mape == pytest.approx(0.15)
 
     def test_forecast_denominator_is_default(self):
         # |100 - 80| / 80 = 0.25 vs conventional |100 - 80| / 100 = 0.20
-        assert mape([100.0], [80.0]) == pytest.approx(0.25)
-        assert mape([100.0], [80.0], denominator="actual") == pytest.approx(0.20)
+        assert score_one_path([100.0], [80.0]).mape == pytest.approx(0.25)
+        assert score_one_path([100.0], [80.0], "actual").mape == pytest.approx(0.20)
 
     def test_zero_forecast_errors(self):
-        with pytest.raises(NumericError):
-            mape([1.0], [0.0])
+        with pytest.raises(NumericError, match="undefined MAPE"):
+            score_one_path([1.0], [0.0])
 
     def test_zero_iff_equal(self, rng):
         a = rng.uniform(1, 10, 20)
         f = a.copy()
-        assert mape(a, f) == 0.0
+        assert score_one_path(a, f).mape == 0.0
         f[3] += 1e-6
-        assert mape(a, f) > 0.0
+        assert score_one_path(a, f).mape > 0.0
 
 
 class TestClassifyMape:
@@ -109,13 +128,6 @@ class TestClassifyMape:
             classify_mape(float("nan"))
 
 
-def constant_pathset(paths):
-    paths = np.asarray(paths, dtype=float)
-    params = GbmParams(float(paths[0, 0]), 0.0, 0.0)
-    config = SimulationConfig(paths.shape[0], paths.shape[1] - 1, 0)
-    return PathSet(paths, params, config)
-
-
 class TestEvaluateEnsemble:
     horizons = (HorizonSpec("1w", 5), HorizonSpec("2w", 10))
 
@@ -140,7 +152,7 @@ class TestEvaluateEnsemble:
     def test_constant_paths_skipped_for_correlation(self):
         actual_prices = 100 * 1.005 ** np.arange(11)
         paths = np.vstack([np.full(11, 100.0), actual_prices * 1.5])
-        ps = constant_pathset(paths)
+        ps = PathSet(paths)
         actual = series(actual_prices)
         report = evaluate_ensemble(ps, actual, self.horizons)
         for r in report.results:
@@ -149,7 +161,7 @@ class TestEvaluateEnsemble:
             assert r.mape > 0.0
 
     def test_all_constant_paths_no_correlation(self):
-        ps = constant_pathset(np.full((3, 11), 100.0))
+        ps = PathSet(np.full((3, 11), 100.0))
         actual = series(100 * 1.005 ** np.arange(11))
         report = evaluate_ensemble(ps, actual, self.horizons)
         for r in report.results:
@@ -192,7 +204,7 @@ class TestEvaluateEnsemble:
         paths = np.tile(100 * 1.01 ** np.arange(11), (3, 1))
         paths[1, 6:] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="2w: MAPE is nan"):
-            evaluate_ensemble(constant_pathset(paths), series(paths[0]), self.horizons)
+            evaluate_ensemble(PathSet(paths), series(paths[0]), self.horizons)
 
     def test_overflowing_correlation_is_numeric_error(self):
         # MAPE is finite near 1e200, but the sums of squared deviations are not
@@ -259,7 +271,7 @@ def scoring_cases(draw):
     else:
         actual = np.full(width, 50.0 + rng.random())
     horizons = tuple(HorizonSpec(f"h{i}", d) for i, d in enumerate(days))
-    return constant_pathset(paths), series(actual), horizons
+    return PathSet(paths), series(actual), horizons
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,7 +19,6 @@ from gbmfolio.gbm import (
     envelope,
     gbm_paths,
     simulate_ensemble,
-    wiener_increments,
 )
 from gbmfolio.streams import uniform_rows
 from gbmfolio.synthetic import make_universe
@@ -29,26 +28,32 @@ N_PATHS = (1, 3, 300)
 
 
 class TestWienerIncrements:
-    def test_standard_moments(self, rng):
-        n = 200_000
-        inc = wiener_increments(n, 1.0, rng)
-        assert abs(inc.mean()) <= 3 / math.sqrt(n)
+    """The ensemble's Wiener increments, read back from its log prices."""
+
+    @staticmethod
+    def increments(n_paths, horizon, dt, seed):
+        # mu = sigma^2 / 2 cancels the drift: each log increment is sqrt(dt) times a normal
+        config = SimulationConfig(n_paths, horizon, seed)
+        ps = simulate_ensemble(GbmParams(1.0, 0.5, 1.0, dt=dt), config)
+        return np.diff(np.log(ps.paths), axis=1).ravel()
+
+    def test_standard_moments(self):
+        inc = self.increments(800, 250, 1.0, 3)
+        assert abs(inc.mean()) <= 3 / math.sqrt(inc.size)
         assert inc.std() == pytest.approx(1.0, abs=0.01)
 
-    def test_sqrt_dt_scaling(self, rng):
-        inc = wiener_increments(200_000, 4.0, rng)
+    def test_sqrt_dt_scaling(self):
+        inc = self.increments(800, 250, 4.0, 3)
         assert inc.std() == pytest.approx(2.0, abs=0.02)
 
     def test_deterministic_per_stream(self):
-        a = wiener_increments(100, 1.0, np.random.default_rng(3))
-        b = wiener_increments(100, 1.0, np.random.default_rng(3))
-        assert np.array_equal(a, b)
+        assert np.array_equal(self.increments(10, 10, 1.0, 3), self.increments(10, 10, 1.0, 3))
 
-    def test_validation(self, rng):
+    def test_validation(self):
         with pytest.raises(DataError):
-            wiener_increments(0, 1.0, rng)
+            SimulationConfig(1, 0, 0)
         with pytest.raises(DataError):
-            wiener_increments(5, 0.0, rng)
+            GbmParams(1.0, 0.5, 1.0, dt=0.0)
 
 
 class TestGbmPath:
@@ -316,13 +321,6 @@ def reference_envelope(pathset, lower_q=0.05, upper_q=0.95):
     return nearest_rank(lower_q), nearest_rank(upper_q), paths.mean(axis=0)
 
 
-def as_pathset(paths):
-    """The given (n_paths, steps) paths as a PathSet."""
-    n_paths, steps = np.shape(paths)
-    config = SimulationConfig(n_paths, max(steps - 1, 1), 0)
-    return PathSet(np.array(paths, dtype=float), GbmParams(1.0, 0.0, 0.0), config)
-
-
 # prices with ties, infinities and constant paths; no NaN, which has no rank
 PRICES = st.one_of(
     st.sampled_from([0.0, 1.0, 2.0, math.inf]),
@@ -337,7 +335,7 @@ def path_sets(draw):
     varying = st.lists(PRICES, min_size=steps, max_size=steps)
     constant = PRICES.map(lambda price: [price] * steps)
     paths = st.lists(st.one_of(varying, constant), min_size=n_paths, max_size=n_paths)
-    return as_pathset(draw(paths))
+    return PathSet(draw(paths))
 
 
 class TestEnvelope:
@@ -355,15 +353,15 @@ class TestEnvelope:
 
     def test_nearest_rank_oracle(self):
         # three constant paths at 90/100/110: median 100, upper(q=1) 110
-        env = envelope(as_pathset([[90.0] * 5, [100.0] * 5, [110.0] * 5]), 0.5, 1.0)
+        env = envelope(PathSet([[90.0] * 5, [100.0] * 5, [110.0] * 5]), 0.5, 1.0)
         assert np.all(env.lower == 100.0)
         assert np.all(env.upper == 110.0)
         assert np.all(env.mean == 100.0)
 
     @settings(max_examples=300, deadline=None)
     @given(path_sets(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    @example(as_pathset([[1.0, math.inf]] * 3), 0.0, 1.0)
-    @example(as_pathset([[2.0, 3.0]]), 0.0, 1.0)
+    @example(PathSet([[1.0, math.inf]] * 3), 0.0, 1.0)
+    @example(PathSet([[2.0, 3.0]]), 0.0, 1.0)
     def test_matches_the_column_sort_reference(self, pathset, q1, q2):
         lower_q, upper_q = sorted((q1, q2))
         if lower_q == upper_q:

@@ -13,11 +13,10 @@ from gbmfolio.market_data import (
     PriceSeries,
     align_panel,
     load_csv,
-    normalize_base100,
     slice_panel,
     slice_period,
 )
-from gbmfolio.stats import simple_returns
+from gbmfolio.portfolio import Weights, portfolio_value_series
 
 from conftest import series, trading_days
 
@@ -217,28 +216,31 @@ class TestAlignPanel:
 
 
 class TestNormalizeBase100:
+    """The paper's base-100 rule: one asset held with capital 100 (portfolio_value_series)."""
+
+    @staticmethod
+    def base100(s):
+        return portfolio_value_series(align_panel([s]), Weights([1.0]), 100.0)
+
     def test_paper_rule(self):
-        out = normalize_base100(series([20, 25, 30]))
-        assert list(out.prices) == [100.0, 125.0, 150.0]
+        assert list(self.base100(series([20, 25, 30])).prices) == [100.0, 125.0, 150.0]
 
     def test_identity(self):
-        out = normalize_base100(series([100, 100]))
-        assert list(out.prices) == [100.0, 100.0]
+        assert list(self.base100(series([100, 100])).prices) == [100.0, 100.0]
 
     def test_derived_pair(self):
-        out = normalize_base100(series([8, 2]))
-        assert list(out.prices) == [100.0, 25.0]
+        assert list(self.base100(series([8, 2])).prices) == [100.0, 25.0]
 
     def test_idempotent(self, rng):
-        s = series(rng.uniform(3, 50, 40))
-        once = normalize_base100(s)
-        twice = normalize_base100(once)
+        once = self.base100(series(rng.uniform(3, 50, 40)))
+        twice = self.base100(once)
         assert np.array_equal(once.prices, twice.prices)
 
     def test_preserves_simple_returns(self, rng):
         s = series(rng.uniform(3, 50, 40))
-        before = simple_returns(s).values
-        after = simple_returns(normalize_base100(s)).values
+        out = self.base100(s)
+        before = s.prices[1:] / s.prices[:-1] - 1.0
+        after = out.prices[1:] / out.prices[:-1] - 1.0
         assert np.allclose(before, after, rtol=1e-12)
 
 

@@ -6,16 +6,15 @@ import pytest
 from gbmfolio.errors import DataError, NumericError
 from gbmfolio.market_data import PriceSeries, align_panel
 from gbmfolio.portfolio import (
+    PortfolioStats,
     Weights,
     optimize_max_sharpe,
-    portfolio_stats,
     portfolio_value_series,
-    random_weights,
     rank_and_group,
     trial_stats,
     trial_weights,
 )
-from gbmfolio.stats import asset_stats
+from gbmfolio.stats import asset_stats, sharpe_ratio
 from gbmfolio.streams import uniform_rows
 
 from conftest import series
@@ -31,6 +30,20 @@ def panel_from_columns(columns):
 def gbm_prices(rng, n, mu, sigma, s0=100.0):
     steps = (mu - 0.5 * sigma**2) + sigma * rng.standard_normal(n - 1)
     return s0 * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
+
+
+def portfolio_stats(panel, weights, risk_free):
+    """Oracle: annualized return, risk and Sharpe of one weight vector.
+
+    Written apart from the optimizer's calibration and trial scoring:
+    np.cov of the daily log returns, then w' Sigma w.
+    """
+    w = weights.values
+    log_rets = np.diff(np.log(panel.matrix), axis=0)
+    cov = np.atleast_2d(np.cov(log_rets, rowvar=False, ddof=1))
+    ret = float(w @ log_rets.mean(axis=0)) * 252
+    risk = math.sqrt(max(float(w @ cov @ w), 0.0) * 252)
+    return PortfolioStats(ret, risk, sharpe_ratio(ret, risk, risk_free))
 
 
 class TestValueSeries:
@@ -53,7 +66,7 @@ class TestValueSeries:
     def test_linear_in_capital_and_scale_invariant(self, rng):
         prices = {f"T{i}": rng.uniform(5, 50, 20) for i in range(3)}
         panel = panel_from_columns(prices)
-        w = random_weights(3, rng)
+        w = Weights(trial_weights(7, 1, 1, 3)[0])
         v1 = portfolio_value_series(panel, w, 100.0)
         v2 = portfolio_value_series(panel, w, 250.0)
         assert np.allclose(v2.prices, 2.5 * v1.prices, rtol=1e-12)
@@ -68,37 +81,51 @@ class TestValueSeries:
 
 
 class TestRandomWeights:
-    def test_single_asset(self, rng):
-        assert list(random_weights(1, rng).values) == [1.0]
+    """Random trial weights: the seed's stream uniforms, normalized by their sum."""
+
+    def test_single_asset(self):
+        assert np.array_equal(trial_weights(5, 1, 10, 1), np.ones((10, 1)))
 
     def test_deterministic_for_seed(self):
-        w1 = random_weights(4, np.random.default_rng(5))
-        w2 = random_weights(4, np.random.default_rng(5))
-        assert np.array_equal(w1.values, w2.values)
-        assert w1.values.sum() == pytest.approx(1.0, abs=1e-12)
+        w1 = trial_weights(5, 1, 1, 4)[0]
+        w2 = trial_weights(5, 1, 1, 4)[0]
+        assert np.array_equal(w1, w2)
+        assert w1.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_simplex_mean(self, rng):
-        draws = np.array([random_weights(3, rng).values for _ in range(10_000)])
+    def test_simplex_mean(self):
+        draws = trial_weights(7, 1, 10_000, 3)
         assert np.allclose(draws.mean(axis=0), 1 / 3, atol=0.02)
 
-    def test_coordinate_can_dominate(self, rng):
-        draws = np.array([random_weights(3, rng).values for _ in range(2000)])
-        assert (draws > 0.5).any(axis=0).all()
+    def test_coordinate_can_dominate(self):
+        assert (trial_weights(6, 1, 2000, 3) > 0.5).any(axis=0).all()
 
-    def test_zero_assets(self, rng):
+    def test_zero_assets(self):
         with pytest.raises(DataError):
-            random_weights(0, rng)
+            trial_weights(5, 1, 1, 0)
 
 
 class TestPortfolioStats:
+    """The portfolio_stats oracle, and the optimizer's statistics against it."""
+
     def test_single_asset_matches_asset_stats(self, rng):
         prices = rng.uniform(5, 50, 40)
         panel = panel_from_columns({"A": prices})
-        ps = portfolio_stats(panel, Weights([1.0]), RISK_FREE)
         st = asset_stats(series(prices, "A"), RISK_FREE)
-        assert ps.return_annual == pytest.approx(st.return_annual, rel=1e-12)
-        assert ps.risk_annual == pytest.approx(st.risk_annual, rel=1e-12)
-        assert ps.sharpe == pytest.approx(st.sharpe, rel=1e-12)
+        for ps in (
+            portfolio_stats(panel, Weights([1.0]), RISK_FREE),
+            optimize_max_sharpe(panel, 1, seed=0, risk_free=RISK_FREE)[1],
+        ):
+            assert ps.return_annual == pytest.approx(st.return_annual, rel=1e-12)
+            assert ps.risk_annual == pytest.approx(st.risk_annual, rel=1e-12)
+            assert ps.sharpe == pytest.approx(st.sharpe, rel=1e-12)
+
+    def test_optimizer_stats_match_oracle(self, rng):
+        panel = panel_from_columns({f"T{i}": gbm_prices(rng, 80, 0.001, 0.02) for i in range(5)})
+        weights, best = optimize_max_sharpe(panel, 200, seed=4, risk_free=RISK_FREE)
+        oracle = portfolio_stats(panel, weights, RISK_FREE)
+        assert best.return_annual == pytest.approx(oracle.return_annual, rel=1e-12)
+        assert best.risk_annual == pytest.approx(oracle.risk_annual, rel=1e-12)
+        assert best.sharpe == pytest.approx(oracle.sharpe, rel=1e-12)
 
     def test_perfectly_correlated_identical_assets(self, rng):
         prices = rng.uniform(5, 50, 40)
@@ -260,8 +287,8 @@ class TestRankAndGroup:
 
     def test_singleton_groups_descending_by_return(self, rng):
         universe = self.make_universe(rng, 6)
-        pg = rank_and_group(self.universe_stats(universe), "return", group_count=6, group_size=1)
-        rets = [self.column_stats(universe, g[0]).return_annual for g in pg.groups]
+        groups = rank_and_group(self.universe_stats(universe), "return", group_count=6, group_size=1)
+        rets = [self.column_stats(universe, g[0]).return_annual for g in groups]
         assert rets == sorted(rets, reverse=True)
 
     def test_risk_descending(self, rng):
@@ -271,19 +298,19 @@ class TestRankAndGroup:
             "C": gbm_prices(rng, 400, 0.0, 0.1 / math.sqrt(252)),
         }
         universe = panel_from_columns(cols)
-        pg = rank_and_group(self.universe_stats(universe), "risk", group_count=3, group_size=1)
-        assert pg.groups == (("A",), ("B",), ("C",))
+        groups = rank_and_group(self.universe_stats(universe), "risk", group_count=3, group_size=1)
+        assert groups == (("A",), ("B",), ("C",))
 
     def test_tie_breaks_lexicographically(self):
         prices = [10.0, 11.0, 10.5, 12.0]
         universe = panel_from_columns({"ZZZ": prices, "AAA": prices})
-        pg = rank_and_group(self.universe_stats(universe), "return", group_count=2, group_size=1)
-        assert pg.groups == (("AAA",), ("ZZZ",))
+        groups = rank_and_group(self.universe_stats(universe), "return", group_count=2, group_size=1)
+        assert groups == (("AAA",), ("ZZZ",))
 
     def test_partition_and_sortedness(self, rng):
         universe = self.make_universe(rng, 12)
-        pg = rank_and_group(self.universe_stats(universe), "sharpe", group_count=4, group_size=3)
-        flat = [t for g in pg.groups for t in g]
+        groups = rank_and_group(self.universe_stats(universe), "sharpe", group_count=4, group_size=3)
+        flat = [t for g in groups for t in g]
         assert sorted(flat) == sorted(universe.tickers)
         sharpes = [self.column_stats(universe, t).sharpe for t in flat]
         assert sharpes == sorted(sharpes, reverse=True)

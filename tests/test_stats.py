@@ -4,90 +4,64 @@ import numpy as np
 import pytest
 
 from gbmfolio.errors import DataError, NumericError
-from gbmfolio.stats import (
-    annualize_return,
-    annualize_risk,
-    asset_stats,
-    log_returns,
-    sharpe_ratio,
-    simple_returns,
-)
+from gbmfolio.stats import asset_stats, log_returns, sharpe_ratio
 
 from conftest import series
 
 
-class TestSimpleReturns:
-    def test_ten_percent(self):
-        assert simple_returns(series([100, 110])).values == pytest.approx([0.10])
-
-    def test_constant(self):
-        assert list(simple_returns(series([100, 100, 100])).values) == [0.0, 0.0]
-
-    def test_halving(self):
-        assert simple_returns(series([50, 25])).values == pytest.approx([-0.5])
-
-    def test_length_and_kind(self):
-        r = simple_returns(series([1, 2, 3, 4]))
-        assert len(r) == 3
-        assert r.kind == "simple"
-
-
 class TestLogReturns:
     def test_zero(self):
-        assert log_returns(series([100, 100])).values == pytest.approx([0.0])
+        assert log_returns(series([100, 100])) == pytest.approx([0.0])
 
     def test_e(self):
-        assert log_returns(series([100, 100 * math.e])).values == pytest.approx([1.0])
+        assert log_returns(series([100, 100 * math.e])) == pytest.approx([1.0])
 
     def test_ln_1_1(self):
         # oracle: high-precision ln(1.1)
-        assert log_returns(series([100, 110])).values == pytest.approx([0.0953101798043], abs=1e-10)
+        assert log_returns(series([100, 110])) == pytest.approx([0.0953101798043], abs=1e-10)
 
     def test_additivity(self, rng):
         s = series(rng.uniform(5, 50, 30))
-        total = log_returns(s).values.sum()
+        total = log_returns(s).sum()
         assert total == pytest.approx(math.log(s.prices[-1] / s.prices[0]), rel=1e-10)
-
-    def test_simple_returns_not_additive(self):
-        s = series([100, 110, 99])
-        total = simple_returns(s).values.sum()
-        assert total != pytest.approx(s.prices[-1] / s.prices[0] - 1, rel=1e-6)
 
 
 class TestAnnualize:
+    """asset_stats: mean daily log return x 252, sample std x sqrt(252)."""
+
     def test_constant_log_return(self):
         prices = 100 * np.exp(0.001 * np.arange(10))
-        assert annualize_return(log_returns(series(prices))) == pytest.approx(0.252)
+        assert asset_stats(series(prices), 0.019).return_annual == pytest.approx(0.252)
 
     def test_all_zero(self):
-        assert annualize_return(log_returns(series([7, 7, 7]))) == 0.0
+        assert asset_stats(series([7, 7, 7]), 0.019).return_annual == 0.0
 
     def test_requires_log_kind(self):
-        with pytest.raises(DataError):
-            annualize_return(simple_returns(series([1, 2])))
+        # log returns ln 2, -ln 2 average 0; simple returns 1, -0.5 would average 0.25
+        assert asset_stats(series([1, 2, 1]), 0.019).return_annual == 0.0
 
     def test_zero_variance_risk(self):
-        r = simple_returns(series(100 * np.cumprod([1.0, 1.01, 1.01, 1.01])))
-        assert annualize_risk(r) == pytest.approx(0.0, abs=1e-12)
+        prices = 100 * np.cumprod([1.0, 1.01, 1.01, 1.01])
+        assert asset_stats(series(prices), 0.019).risk_annual == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_risk(self):
-        # oracle: sample std of [0, 0.02] = sqrt((1e-4 + 1e-4) / 1) = 0.0141421356
+        # oracle: sample std of [0, ln 1.02] = ln(1.02) / sqrt(2) = 0.0140025720
         prices = [100.0, 100.0, 100.0 * 1.02]
-        r = simple_returns(series(prices))
-        assert list(r.values) == pytest.approx([0.0, 0.02])
-        assert annualize_risk(r) == pytest.approx(0.0141421356 * math.sqrt(252), abs=1e-6)
-        assert annualize_risk(r) == pytest.approx(0.224499, abs=1e-6)
+        assert list(log_returns(series(prices))) == pytest.approx([0.0, math.log(1.02)])
+        risk = asset_stats(series(prices), 0.019).risk_annual
+        assert risk == pytest.approx(0.0140025720 * math.sqrt(252), abs=1e-6)
+        assert risk == pytest.approx(0.222284, abs=1e-6)
 
     def test_risk_needs_two_returns(self):
         with pytest.raises(DataError):
-            annualize_risk(simple_returns(series([1, 2])))
+            asset_stats(series([1, 2]), 0.019)
 
     def test_risk_matches_two_pass_oracle(self, rng):
-        r = log_returns(series(rng.uniform(5, 50, 60)))
-        x = r.values
+        s = series(rng.uniform(5, 50, 60))
+        x = log_returns(s)
         mean = sum(x) / len(x)
         var = sum((v - mean) ** 2 for v in x) / (len(x) - 1)
-        assert annualize_risk(r) == pytest.approx(math.sqrt(var * 252), rel=1e-12)
+        assert asset_stats(s, 0.019).risk_annual == pytest.approx(math.sqrt(var * 252), rel=1e-12)
 
 
 class TestSharpe:
@@ -112,7 +86,7 @@ class TestProperties:
         p0 = rng.uniform(10, 100, 10_000)
         rs = rng.uniform(-0.1, 0.1, 10_000)
         p1 = p0 * (1 + rs)
-        rlog = np.log(p1 / p0)
+        rlog = log_returns(series(np.column_stack([p0, p1]).ravel()))[::2]
         assert np.all(np.abs(rlog - rs) <= rs * rs + 1e-15)
 
     def test_scale_invariance(self, rng):
@@ -123,9 +97,9 @@ class TestProperties:
             assert b.mu_daily == pytest.approx(a.mu_daily, rel=1e-9, abs=1e-12)
             assert b.sigma_daily == pytest.approx(a.sigma_daily, rel=1e-12)
             assert b.sharpe == pytest.approx(a.sharpe, rel=1e-9)
-            ra = simple_returns(series(prices)).values
-            rb = simple_returns(series(prices * scale)).values
-            assert np.allclose(ra, rb, rtol=1e-12)
+            ra = log_returns(series(prices))
+            rb = log_returns(series(prices * scale))
+            assert np.allclose(ra, rb, rtol=1e-12, atol=1e-15)
 
     def test_asset_stats_consistency(self, rng):
         s = series(rng.uniform(5, 50, 100))
