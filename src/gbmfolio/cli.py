@@ -25,7 +25,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, apply_overrides, load_config, parse_horizons
+from .config import RunConfig, load_config, parse_horizons
 from .errors import DataError, NumericError
 from .evaluation import evaluate_ensemble
 from .gbm import GbmParams, SimulationConfig, ensemble_arrays, envelope, simulate_ensemble
@@ -181,7 +181,6 @@ class Run:
     def __init__(self, config, tickers=None):
         self.config = config
         self.out_dir = Path(config.out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.written = []
         self._stats = {}
         self._groups = {}
@@ -263,11 +262,11 @@ class Run:
 
     @cached_property
     def draw_arrays(self):
-        """The uniform block, time-major work array and path array every forecast draws into.
+        """The uniform block and time-major work array every forecast draws into.
 
-        n_paths and the longest horizon are fixed for a run, so one set of
-        arrays serves every subject; a forecast is scored before the next
-        overwrites it.
+        n_paths and the longest horizon are fixed for a run, so one pair of
+        arrays serves every subject; a forecast is scored and banded before
+        the next overwrites it.
         """
         c = self.config
         return ensemble_arrays(c.n_paths, max(h.days for h in c.horizons))
@@ -307,9 +306,14 @@ class Run:
     def write_csv(self, name, header, rows):
         self.write_lines(name, header, (",".join(map(_fmt, row)) + "\n" for row in rows))
 
+    def _open_output(self, name):
+        """out_dir/name opened for writing; out_dir is made here, on the first write."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return open(self.out_dir / name, "w", newline="", encoding="utf-8")
+
     def write_lines(self, name, header, lines):
         """A CSV file of the given header and already formatted lines."""
-        with open(self.out_dir / name, "w", newline="", encoding="utf-8") as fh:
+        with self._open_output(name) as fh:
             fh.write(",".join(header) + "\n")
             fh.writelines(lines)
         self.written.append(name)
@@ -320,7 +324,7 @@ class Run:
             for s in map(self.calibration_stats, self.tickers)
         ]
         self.write_csv("stats.csv", ["ticker", "return_annual", "risk_annual", "sharpe"], rows)
-        with open(self.out_dir / "stats.txt", "w", encoding="utf-8") as fh:
+        with self._open_output("stats.txt") as fh:
             fh.write(f"{'ticker':<10}{'return':>12}{'risk':>12}{'sharpe':>10}\n")
             for ticker, ret, risk, sharpe in rows:
                 sh = "NA" if sharpe is None else f"{sharpe:.3f}"
@@ -393,7 +397,7 @@ class Run:
                 for name in sorted(self.written)
             },
         }
-        with open(self.out_dir / "run_manifest.json", "w", encoding="utf-8") as fh:
+        with self._open_output("run_manifest.json") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -487,10 +491,16 @@ def build_parser():
 
 
 def _resolve_config(args):
-    """Defaults, then the config file, then every flag that was given."""
-    config = load_config(args.config) if args.config else RunConfig()
+    """Defaults, then the config file, then every flag that was given, checked once."""
+    values = load_config(args.config) if args.config else {}
     keys = {f.name for f in fields(RunConfig)}
-    return apply_overrides(config, **{k: v for k, v in vars(args).items() if k in keys})
+    values.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    try:
+        return RunConfig(**values)
+    except DataError as exc:
+        if args.config:
+            raise DataError(f"{exc} (with settings from {args.config})") from None
+        raise
 
 
 def main(argv=None):

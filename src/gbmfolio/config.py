@@ -1,8 +1,8 @@
-"""Run configuration: defaults, flat key=value config files, flag overrides."""
+"""Run configuration: defaults and flat key=value config files."""
 
 import datetime as dt
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DataError
 from .evaluation import DEFAULT_HORIZONS, MAPE_DENOMINATORS, HorizonSpec
@@ -81,8 +81,9 @@ _PARSERS = {
 
 
 def load_config(path):
-    """Flat "key = value" file; blank lines and # comments ignored."""
-    overrides = {}
+    """A flat "key = value" file's settings, as RunConfig keyword arguments
+    (checked by RunConfig with the flags); blank lines and # comments ignored."""
+    values = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -94,17 +95,11 @@ def load_config(path):
                 if not eq or key not in _PARSERS:
                     raise DataError(f"{path}:{lineno}: bad config line {line!r}")
                 try:
-                    overrides[key] = _PARSERS[key](value.strip())
+                    values[key] = _PARSERS[key](value.strip())
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError:
         raise DataError(f"config {path} is not UTF-8 text") from None
-    return RunConfig(**overrides)
-
-
-def apply_overrides(config, **kwargs):
-    """New config with the non-None keyword values applied."""
-    changes = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(config, **changes) if changes else config
+    return values

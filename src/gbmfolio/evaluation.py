@@ -7,7 +7,8 @@ map onto four precision bands: high (<= 10%), good (<= 20%), reasonable
 
 Ensembles are scored per path over each horizon's days 1..h (day 0 is
 the known starting price and is excluded), then averaged across paths.
-Each call scores every horizon in one reused (n_paths, max_h) buffer.
+Each call scores every horizon in one reused (max_h, n_paths) buffer,
+over the time-major rows paths.T.
 """
 
 import math
@@ -79,27 +80,27 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS, denominator="f
     finite (an ensemble or a sum of squares that overflowed) raises
     NumericError.
 
-    One (n_paths, max_h) buffer does all the work: it is filled once with
-    the absolute percentage errors over days 1..max_h, each horizon's
-    MAPE is read from its first h columns, and it is then overwritten per
-    horizon with the paths' deviations from their means. A prefix view
-    sums in the same order as a fresh (n_paths, h) array, so the results
-    are those of scoring each horizon on its own.
+    One (max_h, n_paths) buffer, one row per day, does all the work: it is
+    filled once with the absolute percentage errors over days 1..max_h,
+    each horizon's per-path MAPE sums its first h rows, and it is then
+    overwritten per horizon with the paths' deviations from their means.
+    A prefix of rows sums in the same order as a fresh (h, n_paths) array,
+    so the results are those of scoring each horizon on its own.
     """
     if denominator not in MAPE_DENOMINATORS:
         raise DataError(f"unknown denominator {denominator!r}")
-    paths = pathset.paths
+    steps = pathset.paths.T
     max_h = max(h.days for h in horizons)
     if len(actual) < max_h + 1:
         raise DataError(f"actual series too short for horizon {max_h}")
-    if paths.shape[1] < max_h + 1:
+    if steps.shape[0] < max_h + 1:
         raise DataError(f"simulated horizon too short for horizon {max_h}")
-    if paths.shape[0] < 1:
+    if steps.shape[1] < 1:
         raise DataError("no paths to evaluate")
 
     prices = actual.prices
-    a_all = prices[1 : max_h + 1]
-    f_all = paths[:, 1 : max_h + 1]
+    a_all = prices[1 : max_h + 1, None]
+    f_all = steps[1 : max_h + 1]
     # x.all() is False iff some x == 0, without a boolean temporary
     if not f_all.all() or (denominator == "actual" and not a_all.all()):
         raise NumericError("undefined MAPE: zero denominator value")
@@ -109,7 +110,7 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS, denominator="f
     np.divide(buf, f_all if denominator == "forecast" else a_all, out=buf)
     mapes = []
     for spec in horizons:
-        value = float(buf[:, : spec.days].mean(axis=1).mean())
+        value = float((buf[: spec.days].sum(axis=0) / spec.days).mean())
         if not math.isfinite(value):
             raise NumericError(f"{spec.label}: MAPE is {value}; the ensemble overflowed")
         mapes.append(value)
@@ -120,16 +121,14 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS, denominator="f
         corr_mean = None  # a single point, or no usable path, has no correlation
         if h >= 2:
             a = prices[1 : h + 1]
-            f = paths[:, 1 : h + 1]
+            f = steps[1 : h + 1]
             da = a - a.mean()
-            df = np.subtract(f, f.mean(axis=1, keepdims=True), out=buf[:, :h])
+            df = np.subtract(f, f.mean(axis=0), out=buf[:h])
             ss_a = float(da @ da)
-            ss_f = np.einsum("pi,pi->p", df, df)
+            ss_f = np.einsum("ip,ip->p", df, df)
             usable = (ss_f > 0) & (ss_a > 0)
-            if not usable.all():
-                df, ss_f = df[usable], ss_f[usable]
-            if len(df):
-                r = (df @ da) / np.sqrt(ss_f * ss_a)
+            if usable.any():
+                r = (da @ df)[usable] / np.sqrt(ss_f[usable] * ss_a)
                 corr_mean = float(np.clip(r, -1.0, 1.0).mean())
                 if not math.isfinite(corr_mean):
                     raise NumericError(f"{spec.label}: correlation is {corr_mean}; sums overflowed")

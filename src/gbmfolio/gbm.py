@@ -7,14 +7,14 @@ sqrt(dt). Path i of an ensemble is row i of the seed's counter stream
 (seed, i) alone and results are reproducible regardless of execution order,
 and of which arrays the ensemble is drawn into.
 
-Box-Muller and the GBM steps work time-major: one row per step, one
+An ensemble is time-major from draw to band: one row per step, one
 column per path. The stream is drawn path-major, one row per path, and
 read transposed by Box-Muller's first operation on each half, into a
 contiguous (steps, paths) work array; every later ufunc then runs over
 whole contiguous rows, where on path-major views NumPy would call its
-inner loop once per path. One transposed copy gives the path-major
-PathSet that scoring reads. The arithmetic on each element is
-unchanged, so every path is bit-identical to the one drawn alone.
+inner loop once per path. The PathSet views that array transposed, and
+scoring and the band read its rows back as paths.T. Every path is
+bit-identical to the one drawn alone.
 """
 
 import math
@@ -142,21 +142,17 @@ def box_muller(uniforms, horizon, out=None, scratch=None):
     return out[:horizon]
 
 
-def _normals_width(horizon):
-    return 2 * -(-horizon // 2)
-
-
 def _array_shapes(n_paths, horizon):
-    width = _normals_width(horizon)
-    return (n_paths, padded_width(width)), (width + 1, n_paths), (n_paths, horizon + 1)
+    width = 2 * -(-horizon // 2)  # uniforms per path: Box-Muller takes them in pairs
+    return (n_paths, padded_width(width)), (width + 1, n_paths)
 
 
 def ensemble_arrays(n_paths, horizon):
-    """Fresh (uniforms, steps, paths) arrays for one draw of n_paths x horizon steps.
+    """Fresh (uniforms, steps) arrays for one draw of n_paths x horizon steps.
 
-    uniforms is the path-major stream block, steps the time-major work
-    array and paths the path-major result. Pass them to simulate_ensemble's
-    `out` to draw any number of ensembles of that shape into the same memory.
+    uniforms is the path-major stream block and steps the time-major work
+    array the paths are drawn into. Pass them to simulate_ensemble's `out`
+    to draw any number of ensembles of that shape into the same memory.
     """
     return tuple(np.empty(shape) for shape in _array_shapes(n_paths, horizon))
 
@@ -165,48 +161,44 @@ def _ensemble_normals(config, arrays=None):
     """The (horizon, n_paths) normals an ensemble is drawn from: rows 1.. of `steps`.
 
     The uniform block is read transposed, and Box-Muller's scratch rows are
-    the front of `paths`, which is written only once the normals are used.
+    the front of that block, dead once each half has been read.
     """
-    uniforms, steps, paths = arrays or ensemble_arrays(config.n_paths, config.horizon)
+    uniforms, steps = arrays or ensemble_arrays(config.n_paths, config.horizon)
     width = steps.shape[0] - 1
     rows = uniform_rows(config.seed, 0, config.n_paths, width, out=uniforms)
-    scratch = paths.reshape(-1)[: rows.size // 2].reshape(-1, config.n_paths)
+    scratch = uniforms.reshape(-1)[: rows.size // 2].reshape(-1, config.n_paths)
     return box_muller(rows.T, config.horizon, out=steps[1:], scratch=scratch)
 
 
 def simulate_ensemble(params, config, out=None):
     """n_paths independent paths; path i depends only on (seed, i).
 
-    `out` is a (uniforms, steps, paths) triple from ensemble_arrays(n_paths,
-    horizon) to draw into, as NumPy's `out=` arguments are: the returned
-    PathSet then views `paths`, and the next draw into the same arrays
-    overwrites it. Without `out`, each call draws into arrays of its own.
+    `out` is a (uniforms, steps) pair from ensemble_arrays(n_paths, horizon)
+    to draw into, as NumPy's `out=` arguments are: the returned PathSet
+    then views rows 0..horizon of `steps`, transposed, and the next draw
+    into the same arrays overwrites it. Without `out`, each call draws
+    into arrays of its own.
     """
     if out is None:
         out = ensemble_arrays(config.n_paths, config.horizon)
     shapes = _array_shapes(config.n_paths, config.horizon)
     if tuple(a.shape for a in out) != shapes:
         raise DataError(f"out has shapes {[a.shape for a in out]}, need {list(shapes)}")
-    _, steps, paths = out
     normals = _ensemble_normals(config, out)
-    steps = steps[: config.horizon + 1]
+    steps = out[1][: config.horizon + 1]
     gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals, out=steps)
-    np.copyto(paths, steps.T)
-    return PathSet(paths)
+    return PathSet(steps.T)
 
 
 def envelope(pathset, lower_q=0.05, upper_q=0.95):
     """Nearest-rank quantile band plus the arithmetic mean path.
 
     Quantile q is the value of rank ceil(q n), counted from 1 (q = 0 gives
-    the minimum), read from a time-major copy of the paths sorted along
-    its contiguous rows.
+    the minimum), read from a sorted copy of the time-major rows.
     """
     if not (0 <= lower_q < upper_q <= 1):
         raise DataError("need 0 <= lower_q < upper_q <= 1")
-    paths = pathset.paths
-    n = paths.shape[0]
-    steps = paths.T.copy()
-    steps.sort(axis=1)
-    lower, upper = steps[:, [max(math.ceil(q * n) - 1, 0) for q in (lower_q, upper_q)]].T
-    return Envelope(lower=lower, upper=upper, mean=paths.mean(axis=0))
+    steps = pathset.paths.T
+    ranks = [max(math.ceil(q * steps.shape[1]) - 1, 0) for q in (lower_q, upper_q)]
+    lower, upper = np.sort(steps, axis=1)[:, ranks].T
+    return Envelope(lower=lower, upper=upper, mean=steps.mean(axis=1))

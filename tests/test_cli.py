@@ -90,6 +90,11 @@ class TestStats:
         tickers = [r["ticker"] for r in read_rows(tmp_path / "stats" / "stats.csv")]
         assert tickers == sorted(p.stem for p in universe_dir.glob("*.csv"))
 
+    def test_a_failed_run_leaves_no_out_dir(self, tmp_path):
+        out_dir = tmp_path / "out"
+        assert run(tmp_path / "nonexistent", out_dir, "stats") == 2
+        assert not out_dir.exists()
+
     def test_missing_ticker_is_data_error(self, universe_dir, tmp_path):
         assert run(universe_dir, tmp_path, "stats", "NOPE") == 2
 
@@ -319,6 +324,31 @@ class TestUsageAndConfig:
         assert "Traceback" not in stderr
         assert stderr.splitlines()[-1].startswith("data error: horizon label '1w' is given more")
         assert not (tmp_path / "report_SYN00.csv").exists()
+
+    def test_flags_complete_the_windows_of_a_config_file(self, universe_dir, tmp_path):
+        # the file alone ends calibration after the default evaluation start
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("calibration_start = 2016-07-01\ncalibration_end = 2019-06-28\n")
+        rc, stderr = run_process(
+            "--config", str(cfg), "--data-dir", str(universe_dir), "--out-dir", str(tmp_path),
+            "--evaluation-start", "2019-07-01", "stats", "SYN00",
+        )
+        assert rc == 0, stderr
+        config = json.loads((tmp_path / "run_manifest.json").read_text())["config"]
+        assert (config["calibration_start"], config["calibration_end"]) == (
+            "2016-07-01", "2019-06-28"
+        )
+        assert config["evaluation_start"] == "2019-07-01"
+
+    def test_a_bad_value_from_a_config_file_names_the_file(self, universe_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("risk_free = nan\n")
+        rc, stderr = run_process(
+            "--config", str(cfg), "--data-dir", str(universe_dir), "--out-dir", str(tmp_path),
+            "stats", "SYN00",
+        )
+        assert rc == 2
+        assert "risk_free must be finite" in stderr and str(cfg) in stderr.splitlines()[-1]
 
     def test_unknown_mape_denominator_rejected(self, universe_dir, tmp_path):
         with pytest.raises(DataError, match="mape_denominator"):

@@ -1,3 +1,5 @@
+import datetime as dt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,9 +32,13 @@ class TestLoadConfig:
     def test_values_and_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# run\nseed = 7\n\nhorizons = 1w:5  # short\n")
-        config = load_config(path)
-        assert config.seed == 7
-        assert config.horizons == (HorizonSpec("1w", 5),)
+        assert load_config(path) == {"seed": 7, "horizons": (HorizonSpec("1w", 5),)}
+
+    def test_values_are_checked_only_by_run_config(self, tmp_path):
+        # a file may name half of a window that the flags complete
+        path = tmp_path / "run.cfg"
+        path.write_text("calibration_end = 2019-06-28\n")
+        assert load_config(path) == {"calibration_end": dt.date(2019, 6, 28)}
 
     def test_non_utf8_is_data_error(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -86,7 +92,7 @@ def test_load_config_accepts_or_raises_data_error(input_file, content):
         content = content.encode("utf-8", "surrogatepass")
     input_file.write_bytes(content)
     try:
-        config = load_config(input_file)
+        config = RunConfig(**load_config(input_file))
     except DataError:
         return
     assert isinstance(config, RunConfig)

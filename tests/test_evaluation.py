@@ -227,9 +227,10 @@ class TestEvaluateEnsemble:
         assert peak <= 1.5 * ps.paths.nbytes
 
 
-def reference_results(pathset, actual, horizons, denominator):
-    """The evaluator as it was before its one-buffer form: every horizon
-    scored on fresh (n_paths, h) arrays."""
+def path_major_reference(pathset, actual, horizons, denominator):
+    """The evaluator of version 0.3.0: every horizon scored path-major, on
+    fresh (n_paths, h) arrays. It sums in another order, so it is an oracle
+    to within rounding."""
     paths = pathset.paths
     results = []
     for spec in horizons:
@@ -247,6 +248,31 @@ def reference_results(pathset, actual, horizons, denominator):
             usable = (ss_f > 0) & (ss_a > 0)
             if usable.any():
                 r = (df[usable] @ da) / np.sqrt(ss_f[usable] * ss_a)
+                corr_mean = float(np.clip(r, -1.0, 1.0).mean())
+        results.append(HorizonResult(spec, corr_mean, mape_mean, classify_mape(mape_mean)))
+    return tuple(results)
+
+
+def time_major_reference(pathset, actual, horizons, denominator):
+    """Every horizon scored on fresh (h, n_paths) arrays of the time-major
+    rows paths.T, in the evaluator's sum order but without its buffer."""
+    steps = pathset.paths.T
+    results = []
+    for spec in horizons:
+        h = spec.days
+        a = actual.prices[1 : h + 1]
+        f = steps[1 : h + 1]
+        base = f if denominator == "forecast" else a[:, None]
+        mape_mean = float((np.sum(np.abs(a[:, None] - f) / base, axis=0) / h).mean())
+        corr_mean = None
+        if h >= 2:
+            da = a - a.mean()
+            df = f - f.mean(axis=0)
+            ss_a = float(da @ da)
+            ss_f = np.einsum("ip,ip->p", df, df)
+            usable = (ss_f > 0) & (ss_a > 0)
+            if usable.any():
+                r = (da @ df)[usable] / np.sqrt(ss_f[usable] * ss_a)
                 corr_mean = float(np.clip(r, -1.0, 1.0).mean())
         results.append(HorizonResult(spec, corr_mean, mape_mean, classify_mape(mape_mean)))
     return tuple(results)
@@ -271,12 +297,30 @@ def scoring_cases(draw):
     else:
         actual = np.full(width, 50.0 + rng.random())
     horizons = tuple(HorizonSpec(f"h{i}", d) for i, d in enumerate(days))
-    return PathSet(paths), series(actual), horizons
+    # time-major, as simulate_ensemble lays an ensemble out
+    return PathSet(np.ascontiguousarray(paths.T).T), series(actual), horizons
+
+
+SCORING = dict(case=scoring_cases(), denominator=st.sampled_from(["forecast", "actual"]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=scoring_cases(), denominator=st.sampled_from(["forecast", "actual"]))
+@given(**SCORING)
 def test_one_buffer_scoring_equals_per_horizon_reference(case, denominator):
     pathset, actual, horizons = case
     got = evaluate_ensemble(pathset, actual, horizons, denominator)
-    assert got.results == reference_results(pathset, actual, horizons, denominator)
+    assert got.results == time_major_reference(pathset, actual, horizons, denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**SCORING)
+def test_scoring_matches_the_path_major_oracle(case, denominator):
+    pathset, actual, horizons = case
+    got = evaluate_ensemble(pathset, actual, horizons, denominator)
+    for r, want in zip(got.results, path_major_reference(pathset, actual, horizons, denominator)):
+        assert (r.horizon, r.band) == (want.horizon, want.band)
+        assert r.mape == pytest.approx(want.mape, rel=1e-13, abs=0)
+        if want.mean_correlation is None:
+            assert r.mean_correlation is None
+        else:
+            assert r.mean_correlation == pytest.approx(want.mean_correlation, rel=0, abs=1e-13)

@@ -274,16 +274,16 @@ class TestDrawArrays:
         for seed in (3, 2**100 + 3, 77):
             config = SimulationConfig(n_paths, horizon, seed)
             reused = simulate_ensemble(self.PARAMS, config, out=out)
-            assert np.shares_memory(reused.paths, out[2])
-            assert not reused.paths.flags.writeable and out[2].flags.writeable
+            assert np.shares_memory(reused.paths, out[1])
+            assert not reused.paths.flags.writeable and out[1].flags.writeable
             assert np.array_equal(reused.paths, simulate_ensemble(self.PARAMS, config).paths)
 
-    @pytest.mark.parametrize("shape", [(10, 24), (10, 19), (11, 20)])
+    @pytest.mark.parametrize("shape", [(10, 24), (10, 18), (11, 20)])
     def test_arrays_of_another_shape_are_data_error(self, shape):
         with pytest.raises(DataError, match="shape"):
             simulate_ensemble(self.PARAMS, SimulationConfig(10, 20, 0), out=ensemble_arrays(*shape))
 
-    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("which", [0, 1])
     def test_one_array_of_another_shape_is_data_error(self, which):
         out = list(ensemble_arrays(10, 20))
         out[which] = np.empty(out[which].shape[::-1])

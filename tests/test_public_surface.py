@@ -1,10 +1,12 @@
 """The package ships only what its own pipeline uses.
 
-Every public top-level function and class in src/gbmfolio must be named
-somewhere else in the package: by a Name, an Attribute or an import. A
-definition only the tests call belongs in the tests. `__init__.py` holds
-no re-exports, and an import there would only forward a name, so its
-imports do not count as uses.
+Every public top-level function and class in src/gbmfolio must be used
+somewhere else in the package: imported by name from its module
+(`from .mod import f`), or read as a Name in its own module outside its
+own definition. An attribute such as `r.mape` is not a use of a function
+`mape`, whatever object `r` is. A definition only the tests call belongs
+in the tests. `__init__.py` holds no re-exports, and an import there
+would only forward a name, so its imports do not count as uses.
 """
 
 import ast
@@ -32,34 +34,44 @@ def public_definitions(trees):
     }
 
 
-def referenced_names(trees):
-    """Every name used in the package, outside the definition of that name."""
-    names = set()
+def used_definitions(trees):
+    """module.name of every definition the package imports or reads by name."""
+    used = set()
     for module, tree in trees.items():
         for statement in tree.body:
             own = getattr(statement, "name", None)
             for node in ast.walk(statement):
-                if isinstance(node, ast.Name):
-                    found = [node.id]
-                elif isinstance(node, ast.Attribute):
-                    found = [node.attr]
-                elif isinstance(node, (ast.Import, ast.ImportFrom)) and module != "__init__":
-                    found = [part for alias in node.names for part in alias.name.split(".")]
-                else:
-                    continue
-                names.update(name for name in found if name != own)
-    return names
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id != own:
+                        used.add(f"{module}.{node.id}")
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and module != "__init__":
+                    used.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return used
+
+
+def unused_definitions(trees):
+    return public_definitions(trees) - ENTRY_POINTS - used_definitions(trees)
 
 
 def test_every_public_definition_is_used_by_the_package():
-    trees = modules()
-    used = referenced_names(trees)
-    unused = {
-        qualified
-        for qualified in public_definitions(trees) - ENTRY_POINTS
-        if qualified.split(".", 1)[1] not in used
-    }
+    unused = unused_definitions(modules())
     assert not unused, f"defined in src/gbmfolio but used only outside it: {sorted(unused)}"
+
+
+def test_an_attribute_of_the_same_name_is_not_a_use():
+    # the scalar mape that HorizonResult.mape once kept alive
+    trees = {
+        "evaluation": ast.parse(
+            "class HorizonResult:\n    mape: float\n\n"
+            "def mape(a, f):\n    return mape(a[1:], f[1:]) if len(a) > 1 else 0.0\n"
+        ),
+        "report": ast.parse(
+            "from .evaluation import HorizonResult\n\n"
+            "def rows(results):\n    return [r.mape for r in results]\n\n"
+            "def write(results):\n    return rows(results)\n"
+        ),
+    }
+    assert unused_definitions(trees) == {"evaluation.mape", "report.write"}
 
 
 def test_entry_points_exist():
