@@ -38,7 +38,8 @@ import numpy as np
 
 METRICS = ("return", "risk", "sharpe")
 ENVELOPE_QUANTILES = (0.05, 0.95)
-# one envelope_<subject>.csv line: day_index, date, actual, mean, q05, q95
+# envelope_<subject>.csv: its header, and one line per day
+ENVELOPE_HEADER = "day_index,date,actual,mean,q05,q95\n"
 ENVELOPE_ROW = "%d,%s,%.12g,%.12g,%.12g,%.12g\n"
 # a trading day's ISO label, formatted once: the loader shares one date
 # object per day, and a cache hit costs under a third of isoformat()
@@ -181,7 +182,7 @@ class Run:
     def __init__(self, config, tickers=None):
         self.config = config
         self.out_dir = Path(config.out_dir)
-        self.written = []
+        self.written = {}  # file name -> sha256 of the bytes written
         self._stats = {}
         self._groups = {}
         if tickers is not None:
@@ -303,20 +304,23 @@ class Run:
 
     # -- outputs ------------------------------------------------------------
 
+    def _write(self, name, text):
+        """Write out_dir/name, making out_dir on the first write, and record its sha256.
+
+        Every output goes through here, so the manifest reads nothing back.
+        """
+        data = text.encode()
+        path = self.out_dir / name
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+        except OSError as exc:
+            raise DataError(f"cannot write output {path}: {exc}") from exc
+        self.written[name] = hashlib.sha256(data).hexdigest()
+
     def write_csv(self, name, header, rows):
-        self.write_lines(name, header, (",".join(map(_fmt, row)) + "\n" for row in rows))
-
-    def _open_output(self, name):
-        """out_dir/name opened for writing; out_dir is made here, on the first write."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        return open(self.out_dir / name, "w", newline="", encoding="utf-8")
-
-    def write_lines(self, name, header, lines):
-        """A CSV file of the given header and already formatted lines."""
-        with self._open_output(name) as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(lines)
-        self.written.append(name)
+        lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
+        self._write(name, ",".join(header) + "\n" + "".join(lines))
 
     def write_stats(self):
         rows = [
@@ -324,12 +328,11 @@ class Run:
             for s in map(self.calibration_stats, self.tickers)
         ]
         self.write_csv("stats.csv", ["ticker", "return_annual", "risk_annual", "sharpe"], rows)
-        with self._open_output("stats.txt") as fh:
-            fh.write(f"{'ticker':<10}{'return':>12}{'risk':>12}{'sharpe':>10}\n")
-            for ticker, ret, risk, sharpe in rows:
-                sh = "NA" if sharpe is None else f"{sharpe:.3f}"
-                fh.write(f"{ticker:<10}{ret:>12.4f}{risk:>12.4f}{sh:>10}\n")
-        self.written.append("stats.txt")
+        lines = [f"{'ticker':<10}{'return':>12}{'risk':>12}{'sharpe':>10}\n"]
+        for ticker, ret, risk, sharpe in rows:
+            sh = "NA" if sharpe is None else f"{sharpe:.3f}"
+            lines.append(f"{ticker:<10}{ret:>12.4f}{risk:>12.4f}{sh:>10}\n")
+        self._write("stats.txt", "".join(lines))
 
     def write_groups(self, metric):
         groups = self.groups(metric)
@@ -364,12 +367,8 @@ class Run:
             band.lower.tolist(),
             band.upper.tolist(),
         )
-        values = tuple(chain.from_iterable(rows))
-        self.write_lines(
-            f"envelope_{subject}.csv",
-            ["day_index", "date", "actual", "mean", "q05", "q95"],
-            [ENVELOPE_ROW * len(actual.dates) % values],
-        )
+        body = ENVELOPE_ROW * len(actual.dates) % tuple(chain.from_iterable(rows))
+        self._write(f"envelope_{subject}.csv", ENVELOPE_HEADER + body)
         return report
 
     def write_all_forecasts(self):
@@ -392,14 +391,10 @@ class Run:
                 "gbmfolio": __version__,
             },
             "config": _config_dict(self.config),
-            "files": {
-                name: hashlib.sha256((self.out_dir / name).read_bytes()).hexdigest()
-                for name in sorted(self.written)
-            },
+            # serialized before the manifest is written, so it never lists itself
+            "files": self.written,
         }
-        with self._open_output("run_manifest.json") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self._write("run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def run_command(config, args):

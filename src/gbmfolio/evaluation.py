@@ -43,7 +43,7 @@ MAPE_DENOMINATORS = ("forecast", "actual")
 @dataclass(frozen=True)
 class HorizonResult:
     horizon: HorizonSpec
-    mean_correlation: float | None  # None when every path segment was constant
+    mean_correlation: float | None  # None when the actual or every path segment is constant
     mape: float
     band: str
 
@@ -126,8 +126,10 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS, denominator="f
             df = np.subtract(f, f.mean(axis=0), out=buf[:h])
             ss_a = float(da @ da)
             ss_f = np.einsum("ip,ip->p", df, df)
-            usable = (ss_f > 0) & (ss_a > 0)
-            if usable.any():
+            # constancy is tested exactly: a constant segment's deviations from
+            # its rounded mean need not be zero, so ss > 0 alone lets it through
+            usable = (ss_f > 0) & (f.max(axis=0) > f.min(axis=0))
+            if ss_a > 0 and a.max() > a.min() and usable.any():
                 r = (da @ df)[usable] / np.sqrt(ss_f[usable] * ss_a)
                 corr_mean = float(np.clip(r, -1.0, 1.0).mean())
                 if not math.isfinite(corr_mean):

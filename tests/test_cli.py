@@ -35,13 +35,17 @@ def run(data_dir, out_dir, *args):
     return main(["--data-dir", str(data_dir), "--out-dir", str(out_dir), *args])
 
 
+def run_child(*argv):
+    """A child interpreter run on argv, with this gbmfolio importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gbmfolio.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 def run_process(*args):
     """The CLI in a child interpreter: (exit code, stderr)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(gbmfolio.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gbmfolio.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_child("-m", "gbmfolio.cli", *args)
     return proc.returncode, proc.stderr
 
 
@@ -212,11 +216,18 @@ class TestSimulate:
         for name in ("report_SYN01.csv", "envelope_SYN01.csv", "run_manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_manifest_hashes_match_files(self, universe_dir, tmp_path):
+    @pytest.mark.parametrize(
+        "command", [("simulate", "--subject", "SYN04"), ("report",)], ids=["simulate", "report"]
+    )
+    def test_manifest_hashes_match_files(self, universe_dir, tmp_path, command):
         import hashlib
 
-        run(universe_dir, tmp_path, "--paths", "30", "simulate", "--subject", "SYN04")
+        flags = ("--group-count", "2", "--group-size", "3", "--paths", "30", "--trials", "20")
+        assert run(universe_dir, tmp_path, *flags, *command) == 0
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert set(manifest["files"]) == {p.name for p in tmp_path.iterdir()} - {
+            "run_manifest.json"
+        }
         for name, digest in manifest["files"].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
@@ -424,6 +435,20 @@ class TestUsageAndConfig:
         assert {p.name for p in data.iterdir()} == {p.name for p in universe_dir.iterdir()}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("blocked", ["out_dir_is_a_file", "output_is_a_directory"])
+    def test_unwritable_out_dir_is_data_error(self, universe_dir, tmp_path, blocked):
+        out = tmp_path / "out"
+        if blocked == "out_dir_is_a_file":
+            out.write_text("")
+        else:
+            (out / "stats.csv").mkdir(parents=True)
+        rc, stderr = run_process(
+            "--data-dir", str(universe_dir), "--out-dir", str(out), "stats", "SYN00"
+        )
+        assert rc == 2
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("data error: ") and str(out) in stderr
+
 
 class TestTickerRule:
     """A ticker is letters, digits and . - ^ =, starting with a letter, a digit or ^,
@@ -571,6 +596,44 @@ class TestReport:
         assert set(manifest["files"]) == {p.name for p in tmp_path.iterdir()} - {
             "stale.csv", "run_manifest.json"
         }
+
+    def test_report_reads_nothing_back_from_out_dir(self, universe_dir, tmp_path):
+        # an audit hook cannot be removed, so the report runs in its own interpreter
+        out = tmp_path / "out"
+        proc = run_child(
+            "-c", OPENS_UNDER, str(out), "--data-dir", str(universe_dir), "--out-dir", str(out),
+            "--group-count", "2", "--group-size", "3", "--paths", "20", "--trials", "20", "report",
+        )
+        assert proc.returncode == 0, proc.stderr
+        opens = json.loads(proc.stdout)
+        assert opens["read"] == []
+        # each file is opened once, to be written
+        assert sorted(opens["write"]) == sorted(p.name for p in out.iterdir())
+
+
+# Runs the CLI on argv[2:] and prints, as JSON, the names of the files under
+# argv[1] it opened for reading and for writing.
+OPENS_UNDER = """
+import json, os, sys
+from gbmfolio.cli import main
+
+out = os.path.abspath(sys.argv[1])
+opens = {"read": [], "write": []}
+
+def record(event, args):
+    if event != "open" or not isinstance(args[0], (str, bytes, os.PathLike)):
+        return
+    path = os.path.abspath(os.fsdecode(args[0]))
+    if os.path.dirname(path) == out:
+        mode, flags = args[1], args[2]
+        reads = "r" in mode or "+" in mode if mode else flags & os.O_ACCMODE != os.O_WRONLY
+        opens["read" if reads else "write"].append(os.path.basename(path))
+
+sys.addaudithook(record)
+code = main(sys.argv[2:])
+print(json.dumps(opens))
+sys.exit(code)
+"""
 
 
 class TestPipeline:

@@ -167,6 +167,30 @@ class TestEvaluateEnsemble:
         for r in report.results:
             assert r.mean_correlation is None
 
+    @settings(max_examples=200, deadline=None)
+    @given(price=st.floats(0.01, 1000.0), h=st.integers(2, 30))
+    def test_constant_path_has_no_correlation(self, price, h):
+        # a constant segment's mean is rounded, and its deviations from it
+        # need not be zero; the path is still skipped
+        actual = series(100 * 1.005 ** np.arange(h + 1))
+        constant = PathSet(np.full((1, h + 1), price))
+        report = evaluate_ensemble(constant, actual, (HorizonSpec("h", h),))
+        assert report.results[0].mean_correlation is None
+
+    def test_constant_actual_has_no_correlation(self):
+        # 0.3 averages to a value other than 0.3 over 10 days
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), SimulationConfig(20, 10, 3))
+        report = evaluate_ensemble(ps, series(np.full(11, 0.3)), self.horizons)
+        assert [r.mean_correlation for r in report.results] == [None, None]
+
+    def test_constant_paths_leave_the_mean_correlation_unchanged(self):
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), SimulationConfig(20, 10, 3))
+        actual = series(100 * 1.002 ** np.arange(11))
+        mixed = np.vstack([ps.paths[:10], np.full((5, 11), 0.3), ps.paths[10:]])
+        got = evaluate_ensemble(PathSet(mixed), actual, self.horizons).results
+        for r, want in zip(got, evaluate_ensemble(ps, actual, self.horizons).results):
+            assert r.mean_correlation == pytest.approx(want.mean_correlation, rel=1e-14)
+
     def test_prefix_consistency(self):
         ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), SimulationConfig(50, 30, 3))
         actual = series(100 * 1.002 ** np.arange(31))
@@ -245,8 +269,9 @@ def path_major_reference(pathset, actual, horizons, denominator):
             df = f - f.mean(axis=1, keepdims=True)
             ss_a = float(da @ da)
             ss_f = np.einsum("pi,pi->p", df, df)
-            usable = (ss_f > 0) & (ss_a > 0)
-            if usable.any():
+            # a segment is constant when its maximum equals its minimum
+            usable = (ss_f > 0) & (f.max(axis=1) > f.min(axis=1))
+            if ss_a > 0 and a.max() > a.min() and usable.any():
                 r = (df[usable] @ da) / np.sqrt(ss_f[usable] * ss_a)
                 corr_mean = float(np.clip(r, -1.0, 1.0).mean())
         results.append(HorizonResult(spec, corr_mean, mape_mean, classify_mape(mape_mean)))
@@ -270,8 +295,8 @@ def time_major_reference(pathset, actual, horizons, denominator):
             df = f - f.mean(axis=0)
             ss_a = float(da @ da)
             ss_f = np.einsum("ip,ip->p", df, df)
-            usable = (ss_f > 0) & (ss_a > 0)
-            if usable.any():
+            usable = (ss_f > 0) & (f.max(axis=0) > f.min(axis=0))
+            if ss_a > 0 and a.max() > a.min() and usable.any():
                 r = (da @ df)[usable] / np.sqrt(ss_f[usable] * ss_a)
                 corr_mean = float(np.clip(r, -1.0, 1.0).mean())
         results.append(HorizonResult(spec, corr_mean, mape_mean, classify_mape(mape_mean)))
