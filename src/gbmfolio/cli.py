@@ -18,14 +18,15 @@ import json
 import platform
 import re
 import sys
+import warnings
 import zlib
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from functools import cached_property, lru_cache
 from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, load_config, parse_horizons
+from .config import SETTINGS, RunConfig, load_config
 from .errors import DataError, NumericError
 from .evaluation import evaluate_ensemble
 from .gbm import GbmParams, SimulationConfig, ensemble_arrays, envelope, simulate_ensemble
@@ -56,15 +57,6 @@ def _fmt(x):
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
-
-
-def _config_dict(config):
-    d = asdict(config)
-    d.pop("out_dir")  # where the files land is not part of the results
-    for key in ("calibration_start", "calibration_end", "evaluation_start", "evaluation_end"):
-        d[key] = d[key].isoformat()
-    d["horizons"] = [{"label": h["label"], "days": h["days"]} for h in d["horizons"]]
-    return d
 
 
 def _subject_seed(config, name):
@@ -269,8 +261,11 @@ class Run:
         arrays serves every subject; a forecast is scored and banded before
         the next overwrites it.
         """
-        c = self.config
-        return ensemble_arrays(c.n_paths, max(h.days for h in c.horizons))
+        n, days = self.config.n_paths, max(h.days for h in self.config.horizons)
+        try:
+            return ensemble_arrays(n, days)
+        except (MemoryError, ValueError):  # ValueError: a shape past NumPy's limit
+            raise DataError(f"cannot allocate an ensemble of {n} paths x {days} days") from None
 
     def forecast(self, subject):
         """Calibrate, simulate and score one subject against realized prices.
@@ -382,6 +377,8 @@ class Run:
         )
 
     def write_manifest(self, command):
+        config = asdict(self.config)
+        del config["out_dir"]  # where the files land is not part of the results
         manifest = {
             "command": command,
             "streams": STREAMS,
@@ -390,11 +387,12 @@ class Run:
                 "numpy": np.__version__,
                 "gbmfolio": __version__,
             },
-            "config": _config_dict(self.config),
+            "config": config,
             # serialized before the manifest is written, so it never lists itself
             "files": self.written,
         }
-        self._write("run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(manifest, indent=2, sort_keys=True, default=dt.date.isoformat)
+        self._write("run_manifest.json", text + "\n")
 
 
 def run_command(config, args):
@@ -447,27 +445,24 @@ def _flag_value(parse):
     return convert
 
 
+# a setting's flag is its config key with dashes, except these two
+_FLAGS = {"n_paths": "--paths", "n_trials": "--trials"}
+_HELP = {
+    "data_dir": "directory of <TICKER>.csv files",
+    "out_dir": "output directory",
+    "n_paths": "simulated paths per subject",
+    "n_trials": "random portfolios per optimization",
+    "risk_free": "annual risk-free rate",
+    "horizons": "label:days list, e.g. 1w:5,1m:21",
+}
+
+
 def build_parser():
-    date = _flag_value(dt.date.fromisoformat)
     parser = _Parser(prog="gbmfolio", description=__doc__)
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--data-dir", help="directory of <TICKER>.csv files")
-    parser.add_argument("--out-dir", help="output directory")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--paths", dest="n_paths", type=int, help="simulated paths per subject")
-    parser.add_argument(
-        "--trials", dest="n_trials", type=int, help="random portfolios per optimization"
-    )
-    parser.add_argument("--risk-free", type=float, help="annual risk-free rate")
-    parser.add_argument(
-        "--horizons", type=_flag_value(parse_horizons), help="label:days list, e.g. 1w:5,1m:21"
-    )
-    parser.add_argument("--group-count", type=int)
-    parser.add_argument("--group-size", type=int)
-    parser.add_argument("--calibration-start", type=date)
-    parser.add_argument("--calibration-end", type=date)
-    parser.add_argument("--evaluation-start", type=date)
-    parser.add_argument("--evaluation-end", type=date)
+    for key, parse in SETTINGS.items():
+        flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
+        parser.add_argument(flag, dest=key, type=_flag_value(parse), help=_HELP.get(key))
 
     sub = parser.add_subparsers(dest="command", required=True)
     p_stats = sub.add_parser("stats", help="per-asset return/risk/Sharpe table")
@@ -488,8 +483,7 @@ def build_parser():
 def _resolve_config(args):
     """Defaults, then the config file, then every flag that was given, checked once."""
     values = load_config(args.config) if args.config else {}
-    keys = {f.name for f in fields(RunConfig)}
-    values.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     try:
         return RunConfig(**values)
     except DataError as exc:
@@ -504,7 +498,9 @@ def main(argv=None):
     if args.command == "stats" and len(set(args.tickers)) < len(args.tickers):
         parser.error("stats: a ticker is named more than once")
     try:
-        run_command(_resolve_config(args), args)
+        with warnings.catch_warnings():  # restores the caller's warning state
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            run_command(_resolve_config(args), args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

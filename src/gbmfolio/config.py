@@ -62,7 +62,8 @@ def parse_horizons(text):
     return tuple(specs)
 
 
-_PARSERS = {
+# every run setting, by config key, with the parser of its text; the CLI makes one flag per key
+SETTINGS = {
     "data_dir": str,
     "out_dir": str,
     "calibration_start": dt.date.fromisoformat,
@@ -92,10 +93,10 @@ def load_config(path):
                     continue
                 key, eq, value = line.partition("=")
                 key = key.strip()
-                if not eq or key not in _PARSERS:
+                if not eq or key not in SETTINGS:
                     raise DataError(f"{path}:{lineno}: bad config line {line!r}")
                 try:
-                    values[key] = _PARSERS[key](value.strip())
+                    values[key] = SETTINGS[key](value.strip())
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     except OSError as exc:

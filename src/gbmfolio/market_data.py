@@ -59,7 +59,7 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class PricePanel:
-    """Multiple assets on a shared trading-day axis, no missing cells."""
+    """Multiple assets on a shared, strictly increasing trading-day axis, no missing cells."""
 
     tickers: tuple
     dates: tuple
@@ -75,6 +75,8 @@ class PricePanel:
             raise DataError("panel matrix shape does not match axes")
         if not np.all(np.isfinite(matrix)) or np.any(matrix <= 0):
             raise DataError("panel prices must be positive and finite")
+        if not _increasing(self.dates):
+            raise DataError("panel dates not strictly increasing")
 
 
 def _increasing(dates):

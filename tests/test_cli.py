@@ -6,6 +6,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import gbmfolio
 from gbmfolio import cli
 from gbmfolio.cli import main
-from gbmfolio.config import RunConfig
+from gbmfolio.config import SETTINGS, RunConfig
 from gbmfolio.errors import DataError
 from gbmfolio.market_data import load_csv, slice_period
 from gbmfolio.stats import asset_stats
@@ -448,6 +449,111 @@ class TestUsageAndConfig:
         assert rc == 2
         assert len(stderr.splitlines()) == 1
         assert stderr.startswith("data error: ") and str(out) in stderr
+
+    @pytest.mark.parametrize("paths", [10**12, 10**30])
+    def test_an_ensemble_too_large_to_allocate_is_data_error(self, universe_dir, tmp_path, paths):
+        # NumPy refuses both shapes inside np.empty, before any page is touched
+        out = tmp_path / "out"
+        rc, stderr = run_process(
+            "--data-dir", str(universe_dir), "--out-dir", str(out), "--paths", str(paths),
+            "simulate", "--subject", "SYN00",
+        )
+        assert rc == 2
+        assert stderr == f"data error: cannot allocate an ensemble of {paths} paths x 247 days\n"
+        assert not out.exists()
+
+
+def write_flawed_prices(data_dir):
+    """BAD.csv: 2016-2019 weekdays with a zero price, a NaN price and a repeated date."""
+    days = weekday_range(dt.date(2016, 1, 4), dt.date(2019, 12, 30))
+    rows = [f"{d.isoformat()},{100 + i % 7}" for i, d in enumerate(days)]
+    rows[2] = "2016-01-06,0"
+    rows[3] = "2016-01-07,nan"
+    rows.append("2016-01-11,99")
+    data_dir.mkdir()
+    (data_dir / "BAD.csv").write_text("Date,Adj Close\n" + "\n".join(rows) + "\n")
+
+
+FLAWED_PRICE_WARNINGS = [
+    "warning: BAD: dropping non-positive price on 2016-01-06",
+    "warning: BAD: dropping non-finite price on 2016-01-07",
+    "warning: BAD: duplicate date 2016-01-11, keeping first",
+]
+
+
+class TestLoaderWarnings:
+    def test_one_stderr_line_per_warning(self, tmp_path):
+        write_flawed_prices(tmp_path / "data")
+        rc, stderr = run_process(
+            "--data-dir", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out"), "stats"
+        )
+        assert rc == 0
+        assert stderr.splitlines() == FLAWED_PRICE_WARNINGS
+
+    def test_main_leaves_the_warning_state_as_it_found_it(self, tmp_path, capsys):
+        write_flawed_prices(tmp_path / "data")
+        before = warnings.showwarning, list(warnings.filters)
+        assert run(tmp_path / "data", tmp_path / "out", "stats") == 0
+        assert (warnings.showwarning, warnings.filters) == before
+        assert capsys.readouterr().err.splitlines() == FLAWED_PRICE_WARNINGS
+
+
+# one text per setting, none of them its default
+SETTING_TEXTS = {
+    "data_dir": "prices",
+    "out_dir": "results",
+    "calibration_start": "2015-06-01",
+    "calibration_end": "2018-06-29",
+    "evaluation_start": "2019-02-01",
+    "evaluation_end": "2019-06-28",
+    "risk_free": "0.025",
+    "n_paths": "17",
+    "n_trials": "33",
+    "seed": "5",
+    "group_count": "2",
+    "group_size": "3",
+    "horizons": "1w:5,3m:63",
+    "mape_denominator": "actual",
+}
+
+
+def flag_of(key):
+    return {"n_paths": "--paths", "n_trials": "--trials"}.get(key, "--" + key.replace("_", "-"))
+
+
+def resolve(*argv):
+    return cli._resolve_config(cli.build_parser().parse_args([*argv, "report"]))
+
+
+class TestSettings:
+    """config.SETTINGS is the one list of run settings: each key is a config-file
+    key and a global flag, and the README's settings table names both."""
+
+    @pytest.mark.parametrize("key", list(SETTINGS))
+    def test_flag_and_config_file_give_the_same_config(self, tmp_path, key):
+        text = SETTING_TEXTS[key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        from_flag = resolve(flag_of(key), text)
+        assert from_flag == resolve("--config", str(cfg))
+        assert getattr(from_flag, key) != getattr(RunConfig(), key)
+
+    def test_global_flags_are_the_settings_plus_config_and_help(self):
+        actions = [a for a in cli.build_parser()._actions if a.option_strings]
+        flags = {flag for a in actions for flag in a.option_strings}
+        assert flags == {"-h", "--help", "--config"} | {flag_of(key) for key in SETTINGS}
+        assert {a.dest for a in actions} == {"help", "config"} | set(SETTINGS)
+
+    def test_readme_settings_table_lists_every_flag_with_its_key(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = {
+            tuple(cell.strip() for cell in line.strip().strip("|").split("|")[:2])
+            for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("| `")
+        }
+        for action in cli.build_parser()._actions:
+            if action.option_strings and action.dest not in ("help", "config"):
+                assert (f"`{action.dest}`", f"`{action.option_strings[0]}`") in rows, action.dest
 
 
 class TestTickerRule:

@@ -180,6 +180,15 @@ class TestPriceSeriesInvariants:
             PriceSeries("A", (days[0], days[0]), np.array([1.0, 2.0]))
 
 
+class TestPricePanelInvariants:
+    @pytest.mark.parametrize("days", [(5, 2, 3, 4), (2, 3, 3, 4)])
+    def test_rejects_dates_not_strictly_increasing(self, days):
+        # an unordered axis would be bisected by slice_panel as if it were sorted
+        dates = tuple(dt.date(2019, 1, d) for d in days)
+        with pytest.raises(DataError, match="not strictly increasing"):
+            PricePanel(("A",), dates, np.ones((4, 1)))
+
+
 class TestAlignPanel:
     def test_identical_dates(self):
         a, b = series([1, 2, 3], "A"), series([4, 5, 6], "B")
