@@ -7,7 +7,7 @@ so any run can be audited and reproduced byte for byte. A run computes
 each pipeline stage at most once, and only the stages its outputs need;
 the commands choose which outputs to write, and report writes them all.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric error, 130 interrupted (Ctrl-C).
 """
 
 import argparse
@@ -29,7 +29,7 @@ from . import __version__
 from .config import SETTINGS, RunConfig, load_config
 from .errors import DataError, NumericError
 from .evaluation import evaluate_ensemble
-from .gbm import GbmParams, SimulationConfig, ensemble_arrays, envelope, simulate_ensemble
+from .gbm import GbmParams, ensemble_arrays, envelope, simulate_ensemble
 from .market_data import PricePanel, PriceSeries, align_panel, load_csv, slice_panel, slice_period
 from .portfolio import Weights, optimize_max_sharpe, portfolio_value_series, rank_and_group
 from .stats import asset_stats
@@ -38,7 +38,6 @@ from .streams import STREAMS
 import numpy as np
 
 METRICS = ("return", "risk", "sharpe")
-ENVELOPE_QUANTILES = (0.05, 0.95)
 # envelope_<subject>.csv: its header, and one line per day
 ENVELOPE_HEADER = "day_index,date,actual,mean,q05,q95\n"
 ENVELOPE_ROW = "%d,%s,%.12g,%.12g,%.12g,%.12g\n"
@@ -100,21 +99,20 @@ def _columns(panel, tickers):
     return PricePanel(tickers, panel.dates, np.ascontiguousarray(panel.matrix[:, index]))
 
 
-def _summary_rows(reports):
-    rows = []
-    for report in reports:
-        for r in report.results:
-            rows.append(
-                (report.subject, r.horizon.label, r.horizon.days, r.mean_correlation, r.mape, r.band)
-            )
+def _summary_rows(subjects, reports):
+    """One row per subject and horizon, then a MEAN row per horizon."""
+    rows = [
+        (subject, r.horizon.label, r.horizon.days, r.mean_correlation, r.mape, r.band)
+        for subject, report in zip(subjects, reports)
+        for r in report
+    ]
     # final mean row per horizon, the summary-table convention
-    if reports:
-        for i, r0 in enumerate(reports[0].results):
-            corrs = [rep.results[i].mean_correlation for rep in reports]
-            corrs = [c for c in corrs if c is not None]
-            mean_corr = sum(corrs) / len(corrs) if corrs else None
-            mean_mape = sum(rep.results[i].mape for rep in reports) / len(reports)
-            rows.append(("MEAN", r0.horizon.label, r0.horizon.days, mean_corr, mean_mape, ""))
+    for results in zip(*reports):
+        corrs = [r.mean_correlation for r in results if r.mean_correlation is not None]
+        mean_corr = sum(corrs) / len(corrs) if corrs else None
+        mean_mape = sum(r.mape for r in results) / len(results)
+        horizon = results[0].horizon
+        rows.append(("MEAN", horizon.label, horizon.days, mean_corr, mean_mape, ""))
     return rows
 
 
@@ -288,13 +286,14 @@ class Run:
             np.concatenate(([s0], evaluation.prices[:max_h])),
         )
         params = GbmParams(s0=s0, mu=stats.mu_daily, sigma=stats.sigma_daily)
-        sim = SimulationConfig(n_paths=c.n_paths, horizon=max_h, seed=_subject_seed(c, subject))
         # an ensemble that overflows is reported once, as the NumericError
         # evaluate_ensemble raises for any non-finite score, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            paths = simulate_ensemble(params, sim, out=self.draw_arrays)
+            paths = simulate_ensemble(
+                params, c.n_paths, max_h, _subject_seed(c, subject), out=self.draw_arrays
+            )
             report = evaluate_ensemble(paths, actual, c.horizons, denominator=c.mape_denominator)
-            band = envelope(paths, *ENVELOPE_QUANTILES)
+            band = envelope(paths)
         return report, band, actual
 
     # -- outputs ------------------------------------------------------------
@@ -349,7 +348,7 @@ class Run:
         report, band, actual = self.forecast(subject)
         rows = [
             (r.horizon.label, r.horizon.days, r.mean_correlation, r.mape, r.band)
-            for r in report.results
+            for r in report
         ]
         self.write_csv(
             f"report_{subject}.csv", ["horizon", "days", "mean_correlation", "mape", "band"], rows
@@ -358,9 +357,7 @@ class Run:
             range(len(actual.dates)),
             map(_day_label, actual.dates),
             actual.prices.tolist(),
-            band.mean.tolist(),
-            band.lower.tolist(),
-            band.upper.tolist(),
+            *(column.tolist() for column in band),
         )
         body = ENVELOPE_ROW * len(actual.dates) % tuple(chain.from_iterable(rows))
         self._write(f"envelope_{subject}.csv", ENVELOPE_HEADER + body)
@@ -369,11 +366,12 @@ class Run:
     def write_all_forecasts(self):
         """Every ticker, then every ranked group, plus summary.csv."""
         groups = tuple(f"{m}-{i + 1}" for m in METRICS for i in range(self.config.group_count))
-        reports = [self.write_forecast(subject) for subject in self.tickers + groups]
+        subjects = self.tickers + groups
+        reports = [self.write_forecast(subject) for subject in subjects]
         self.write_csv(
             "summary.csv",
             ["subject", "horizon", "days", "mean_correlation", "mape", "band"],
-            _summary_rows(reports),
+            _summary_rows(subjects, reports),
         )
 
     def write_manifest(self, command):
@@ -507,6 +505,9 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:  # files already written stay in out_dir
+        print("interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -48,12 +48,6 @@ class HorizonResult:
     band: str
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    subject: str
-    results: tuple  # HorizonResult per horizon, in input order
-
-
 def classify_mape(value):
     """Precision band for a MAPE value."""
     if math.isnan(value):
@@ -70,7 +64,7 @@ def classify_mape(value):
 
 
 def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS, denominator="forecast"):
-    """Score an ensemble against realized prices at each horizon.
+    """Score an ensemble against realized prices: one HorizonResult per horizon, in order.
 
     actual must cover every horizon plus the starting day (index 0
     aligns with the paths' starting price). Per horizon, correlation and
@@ -135,4 +129,4 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS, denominator="f
                 if not math.isfinite(corr_mean):
                     raise NumericError(f"{spec.label}: correlation is {corr_mean}; sums overflowed")
         results.append(HorizonResult(spec, corr_mean, mape_mean, classify_mape(mape_mean)))
-    return EvalReport(actual.ticker, tuple(results))
+    return tuple(results)

@@ -25,6 +25,9 @@ import numpy as np
 from .errors import DataError
 from .streams import padded_width, uniform_rows
 
+# the forecast band: the 5% and 95% nearest-rank quantiles of each step
+BAND_QUANTILES = (0.05, 0.95)
+
 
 @dataclass(frozen=True)
 class GbmParams:
@@ -45,19 +48,6 @@ class GbmParams:
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
-    n_paths: int = 1000
-    horizon: int = 247  # trading days
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_paths < 1 or self.horizon < 1:
-            raise DataError("n_paths and horizon must be >= 1")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
 class PathSet:
     """Ensemble of simulated trajectories, shape (n_paths, horizon + 1).
 
@@ -71,15 +61,6 @@ class PathSet:
         paths = np.asarray(self.paths, dtype=float).view()
         paths.flags.writeable = False
         object.__setattr__(self, "paths", paths)
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """Per-step empirical quantile band and mean across an ensemble."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    mean: np.ndarray
 
 
 def gbm_paths(s0, mu, sigma, dt, normals, out=None):
@@ -143,6 +124,8 @@ def box_muller(uniforms, horizon, out=None, scratch=None):
 
 
 def _array_shapes(n_paths, horizon):
+    if n_paths < 1 or horizon < 1:
+        raise DataError("n_paths and horizon must be >= 1")
     width = 2 * -(-horizon // 2)  # uniforms per path: Box-Muller takes them in pairs
     return (n_paths, padded_width(width)), (width + 1, n_paths)
 
@@ -157,21 +140,20 @@ def ensemble_arrays(n_paths, horizon):
     return tuple(np.empty(shape) for shape in _array_shapes(n_paths, horizon))
 
 
-def _ensemble_normals(config, arrays=None):
+def _ensemble_normals(n_paths, horizon, seed, arrays=None):
     """The (horizon, n_paths) normals an ensemble is drawn from: rows 1.. of `steps`.
 
     The uniform block is read transposed, and Box-Muller's scratch rows are
     the front of that block, dead once each half has been read.
     """
-    uniforms, steps = arrays or ensemble_arrays(config.n_paths, config.horizon)
-    width = steps.shape[0] - 1
-    rows = uniform_rows(config.seed, 0, config.n_paths, width, out=uniforms)
-    scratch = uniforms.reshape(-1)[: rows.size // 2].reshape(-1, config.n_paths)
-    return box_muller(rows.T, config.horizon, out=steps[1:], scratch=scratch)
+    uniforms, steps = arrays or ensemble_arrays(n_paths, horizon)
+    rows = uniform_rows(seed, 0, n_paths, steps.shape[0] - 1, out=uniforms)
+    scratch = uniforms.reshape(-1)[: rows.size // 2].reshape(-1, n_paths)
+    return box_muller(rows.T, horizon, out=steps[1:], scratch=scratch)
 
 
-def simulate_ensemble(params, config, out=None):
-    """n_paths independent paths; path i depends only on (seed, i).
+def simulate_ensemble(params, n_paths, horizon, seed, out=None):
+    """n_paths independent paths of `horizon` steps; path i depends only on (seed, i).
 
     `out` is a (uniforms, steps) pair from ensemble_arrays(n_paths, horizon)
     to draw into, as NumPy's `out=` arguments are: the returned PathSet
@@ -180,25 +162,23 @@ def simulate_ensemble(params, config, out=None):
     into arrays of its own.
     """
     if out is None:
-        out = ensemble_arrays(config.n_paths, config.horizon)
-    shapes = _array_shapes(config.n_paths, config.horizon)
+        out = ensemble_arrays(n_paths, horizon)
+    shapes = _array_shapes(n_paths, horizon)
     if tuple(a.shape for a in out) != shapes:
         raise DataError(f"out has shapes {[a.shape for a in out]}, need {list(shapes)}")
-    normals = _ensemble_normals(config, out)
-    steps = out[1][: config.horizon + 1]
+    normals = _ensemble_normals(n_paths, horizon, seed, out)
+    steps = out[1][: horizon + 1]
     gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals, out=steps)
     return PathSet(steps.T)
 
 
-def envelope(pathset, lower_q=0.05, upper_q=0.95):
-    """Nearest-rank quantile band plus the arithmetic mean path.
+def envelope(pathset):
+    """(mean, q05, q95) per step: the mean path and the nearest-rank BAND_QUANTILES.
 
-    Quantile q is the value of rank ceil(q n), counted from 1 (q = 0 gives
-    the minimum), read from a sorted copy of the time-major rows.
+    Quantile q is the value of rank ceil(q n), counted from 1, read from a
+    sorted copy of the time-major rows.
     """
-    if not (0 <= lower_q < upper_q <= 1):
-        raise DataError("need 0 <= lower_q < upper_q <= 1")
     steps = pathset.paths.T
-    ranks = [max(math.ceil(q * steps.shape[1]) - 1, 0) for q in (lower_q, upper_q)]
+    ranks = [math.ceil(q * steps.shape[1]) - 1 for q in BAND_QUANTILES]
     lower, upper = np.sort(steps, axis=1)[:, ranks].T
-    return Envelope(lower=lower, upper=upper, mean=steps.mean(axis=1))
+    return steps.mean(axis=1), lower, upper

@@ -109,12 +109,16 @@ def _read_rows(reader, path, ticker):
 
     dates, prices = [], []
     for row in reader:
+        if not row:  # a blank line is not a row
+            continue
         if len(row) <= last_col:
+            warnings.warn(f"{ticker}: dropping line {reader.line_num}: too few fields")
             continue
         try:
             date = _parse_date(row[date_col])
             price = float(row[price_col])
         except ValueError:
+            warnings.warn(f"{ticker}: dropping line {reader.line_num}: unparseable date or price")
             continue
         if not math.isfinite(price):
             warnings.warn(f"{ticker}: dropping non-finite price on {row[date_col]}")
@@ -131,9 +135,10 @@ def load_csv(path, ticker):
     """Load one asset's daily prices from a CSV export.
 
     The file needs a header with a date column and an adjusted-close
-    column ("Adj Close", falling back to "Close"). Rows with empty or
-    non-numeric prices are dropped; non-finite and non-positive prices
-    are dropped with a warning; duplicate dates keep the first occurrence.
+    column ("Adj Close", falling back to "Close"). Blank lines are skipped;
+    every other row dropped (too few fields, an unparseable date or price,
+    a non-finite or non-positive price, or a date already read) is
+    named in a warning.
     A file that is not UTF-8 text or not well-formed CSV is a DataError.
     """
     try:

@@ -12,7 +12,7 @@ import pytest
 from gbmfolio.cli import main
 from gbmfolio.errors import NumericError
 from gbmfolio.evaluation import HorizonSpec, classify_mape, evaluate_ensemble
-from gbmfolio.gbm import GbmParams, SimulationConfig, simulate_ensemble
+from gbmfolio.gbm import GbmParams, simulate_ensemble
 from gbmfolio.portfolio import Weights, optimize_max_sharpe
 from gbmfolio.stats import log_returns, sharpe_ratio
 from gbmfolio.synthetic import make_universe
@@ -53,7 +53,7 @@ def test_02_mape_band_table():
 
 def test_03_gbm_moment_check():
     mu, sigma, s0, horizon, n = 0.0004, 0.01, 100.0, 247, 5000
-    ps = simulate_ensemble(GbmParams(s0, mu, sigma), SimulationConfig(n, horizon, 1))
+    ps = simulate_ensemble(GbmParams(s0, mu, sigma), n, horizon, 1)
 
     expected_mean = s0 * math.exp(mu * horizon)
     var = s0**2 * math.exp(2 * mu * horizon) * (math.exp(sigma**2 * horizon) - 1)
@@ -71,7 +71,7 @@ def test_03_gbm_moment_check():
 def test_04_wiener_scaling():
     def increments(dt):
         # mu = sigma^2 / 2: each log increment is sigma sqrt(dt) times a normal
-        ps = simulate_ensemble(GbmParams(1.0, 0.5, 1.0, dt=dt), SimulationConfig(4000, 250, 2))
+        ps = simulate_ensemble(GbmParams(1.0, 0.5, 1.0, dt=dt), 4000, 250, 2)
         return np.diff(np.log(ps.paths), axis=1)
 
     inc = increments(4.0)
@@ -119,13 +119,12 @@ def test_06_optimizer_contract():
 
 def test_07_self_forecast_monotone_degradation():
     mu, sigma = 0.0005, 0.015
-    actual_ps = simulate_ensemble(GbmParams(100.0, mu, sigma), SimulationConfig(1, 247, 11))
+    actual_ps = simulate_ensemble(GbmParams(100.0, mu, sigma), 1, 247, 11)
     actual = series(actual_ps.paths[0])
-    ensemble = simulate_ensemble(GbmParams(100.0, mu, sigma), SimulationConfig(1000, 247, 22))
-    report = evaluate_ensemble(
+    ensemble = simulate_ensemble(GbmParams(100.0, mu, sigma), 1000, 247, 22)
+    week, year = evaluate_ensemble(
         ensemble, actual, (HorizonSpec("1w", 5), HorizonSpec("1y", 247))
     )
-    week, year = report.results
     assert week.mape <= year.mape
     ok("criterion 7: 1-week mean MAPE <= 1-year mean MAPE on a self-forecast")
 

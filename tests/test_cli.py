@@ -4,8 +4,10 @@ import json
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -169,7 +171,7 @@ class TestSimulate:
         monkeypatch.setattr(cli.Run, "forecast", keep)
         assert run(universe_dir, tmp_path, "--paths", "50", "simulate", "--subject", "SYN02") == 0
         _, band, actual = forecasts["SYN02"]
-        columns = zip(actual.dates, actual.prices, band.mean, band.lower, band.upper)
+        columns = zip(actual.dates, actual.prices, *band)
         expected = ["day_index,date,actual,mean,q05,q95\n"] + [
             f"{k},{day.isoformat()},{price:.12g},{mean:.12g},{lower:.12g},{upper:.12g}\n"
             for k, (day, price, mean, lower, upper) in enumerate(columns)
@@ -463,6 +465,34 @@ class TestUsageAndConfig:
         assert not out.exists()
 
 
+class TestInterrupt:
+    def test_ctrl_c_is_one_line_and_exit_130(self, universe_dir, tmp_path):
+        # groups_sharpe.csv is written just before the optimizer starts its trials
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(gbmfolio.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "gbmfolio.cli", "--data-dir", str(universe_dir),
+                "--out-dir", str(out), "--group-count", "3", "--group-size", "2",
+                "--trials", "1000000000000", "report",
+            ],
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (out / "groups_sharpe.csv").exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130
+        assert stderr == "interrupted\n"
+        assert (out / "groups_sharpe.csv").exists()  # files already written stay
+
+
 def write_flawed_prices(data_dir):
     """BAD.csv: 2016-2019 weekdays with a zero price, a NaN price and a repeated date."""
     days = weekday_range(dt.date(2016, 1, 4), dt.date(2019, 12, 30))
@@ -489,6 +519,23 @@ class TestLoaderWarnings:
         )
         assert rc == 0
         assert stderr.splitlines() == FLAWED_PRICE_WARNINGS
+
+    def test_short_and_unparseable_rows_are_named(self, tmp_path):
+        # line 2 is blank, and a blank line is not a row
+        days = weekday_range(dt.date(2016, 1, 4), dt.date(2019, 12, 30))
+        rows = ["", "2016-01-01", "2016-01-0x,100", "2016-01-02,null"]
+        rows += [f"{d.isoformat()},{100 + i % 7}" for i, d in enumerate(days)]
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "BAD.csv").write_text("Date,Adj Close\n" + "\n".join(rows) + "\n")
+        rc, stderr = run_process(
+            "--data-dir", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out"), "stats"
+        )
+        assert rc == 0
+        assert stderr.splitlines() == [
+            "warning: BAD: dropping line 3: too few fields",
+            "warning: BAD: dropping line 4: unparseable date or price",
+            "warning: BAD: dropping line 5: unparseable date or price",
+        ]
 
     def test_main_leaves_the_warning_state_as_it_found_it(self, tmp_path, capsys):
         write_flawed_prices(tmp_path / "data")

@@ -12,7 +12,7 @@ from gbmfolio.evaluation import (
     classify_mape,
     evaluate_ensemble,
 )
-from gbmfolio.gbm import GbmParams, PathSet, SimulationConfig, simulate_ensemble
+from gbmfolio.gbm import GbmParams, PathSet, simulate_ensemble
 
 from conftest import series
 
@@ -25,7 +25,7 @@ def score_one_path(actual, forecast, denominator="forecast"):
     actual = series([1.0, *actual])
     pathset = PathSet([[1.0, *forecast]])
     horizon = (HorizonSpec("h", len(forecast)),)
-    return evaluate_ensemble(pathset, actual, horizon, denominator).results[0]
+    return evaluate_ensemble(pathset, actual, horizon, denominator)[0]
 
 
 class TestPearson:
@@ -52,7 +52,7 @@ class TestPearson:
             paths = rng.uniform(1, 10, (20, 15))
 
             def corr(p):
-                return evaluate_ensemble(PathSet(p), actual, horizon).results[0].mean_correlation
+                return evaluate_ensemble(PathSet(p), actual, horizon)[0].mean_correlation
 
             r = corr(paths)
             assert corr(3.5 * paths + 2.0) == pytest.approx(r, abs=1e-10)
@@ -62,7 +62,7 @@ class TestPearson:
         horizon = (HorizonSpec("h", 7),)
         for _ in range(200):
             ps = PathSet(rng.uniform(1, 10, (1, 8)))
-            r = evaluate_ensemble(ps, series(rng.uniform(1, 10, 8)), horizon).results[0]
+            r = evaluate_ensemble(ps, series(rng.uniform(1, 10, 8)), horizon)[0]
             assert abs(r.mean_correlation) <= 1.0
 
 
@@ -133,19 +133,17 @@ class TestEvaluateEnsemble:
 
     def test_perfect_deterministic_forecast(self):
         actual = series(100 * 1.01 ** np.arange(11))
-        ps = simulate_ensemble(
-            GbmParams(100.0, np.log(1.01), 0.0), SimulationConfig(10, 10, 0)
-        )
+        ps = simulate_ensemble(GbmParams(100.0, np.log(1.01), 0.0), 10, 10, 0)
         report = evaluate_ensemble(ps, actual, self.horizons)
-        for r in report.results:
+        for r in report:
             assert r.mape == pytest.approx(0.0, abs=1e-12)
             assert r.band == "high"
 
     def test_actual_equals_single_path(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), SimulationConfig(1, 10, 3))
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 1, 10, 3)
         actual = series(ps.paths[0])
         report = evaluate_ensemble(ps, actual, self.horizons)
-        for r in report.results:
+        for r in report:
             assert r.mean_correlation == pytest.approx(1.0)
             assert r.mape == pytest.approx(0.0, abs=1e-12)
 
@@ -155,7 +153,7 @@ class TestEvaluateEnsemble:
         ps = PathSet(paths)
         actual = series(actual_prices)
         report = evaluate_ensemble(ps, actual, self.horizons)
-        for r in report.results:
+        for r in report:
             # only the non-constant path contributes, and it tracks actual perfectly
             assert r.mean_correlation == pytest.approx(1.0)
             assert r.mape > 0.0
@@ -164,7 +162,7 @@ class TestEvaluateEnsemble:
         ps = PathSet(np.full((3, 11), 100.0))
         actual = series(100 * 1.005 ** np.arange(11))
         report = evaluate_ensemble(ps, actual, self.horizons)
-        for r in report.results:
+        for r in report:
             assert r.mean_correlation is None
 
     @settings(max_examples=200, deadline=None)
@@ -175,39 +173,39 @@ class TestEvaluateEnsemble:
         actual = series(100 * 1.005 ** np.arange(h + 1))
         constant = PathSet(np.full((1, h + 1), price))
         report = evaluate_ensemble(constant, actual, (HorizonSpec("h", h),))
-        assert report.results[0].mean_correlation is None
+        assert report[0].mean_correlation is None
 
     def test_constant_actual_has_no_correlation(self):
         # 0.3 averages to a value other than 0.3 over 10 days
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), SimulationConfig(20, 10, 3))
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 20, 10, 3)
         report = evaluate_ensemble(ps, series(np.full(11, 0.3)), self.horizons)
-        assert [r.mean_correlation for r in report.results] == [None, None]
+        assert [r.mean_correlation for r in report] == [None, None]
 
     def test_constant_paths_leave_the_mean_correlation_unchanged(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), SimulationConfig(20, 10, 3))
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 20, 10, 3)
         actual = series(100 * 1.002 ** np.arange(11))
         mixed = np.vstack([ps.paths[:10], np.full((5, 11), 0.3), ps.paths[10:]])
-        got = evaluate_ensemble(PathSet(mixed), actual, self.horizons).results
-        for r, want in zip(got, evaluate_ensemble(ps, actual, self.horizons).results):
+        got = evaluate_ensemble(PathSet(mixed), actual, self.horizons)
+        for r, want in zip(got, evaluate_ensemble(ps, actual, self.horizons)):
             assert r.mean_correlation == pytest.approx(want.mean_correlation, rel=1e-14)
 
     def test_prefix_consistency(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), SimulationConfig(50, 30, 3))
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 50, 30, 3)
         actual = series(100 * 1.002 ** np.arange(31))
         full = evaluate_ensemble(
             ps, actual, (HorizonSpec("1w", 5), HorizonSpec("2w", 10), HorizonSpec("x", 30))
         )
         short = evaluate_ensemble(ps, actual, (HorizonSpec("1w", 5), HorizonSpec("2w", 10)))
-        for a, b in zip(short.results, full.results[:2]):
+        for a, b in zip(short, full[:2]):
             assert a == b
 
     def test_unknown_denominator_rejected(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), SimulationConfig(2, 10, 3))
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 2, 10, 3)
         with pytest.raises(DataError, match="denominator"):
             evaluate_ensemble(ps, series(ps.paths[0]), self.horizons, denominator="bogus")
 
     def test_too_short_actual(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), SimulationConfig(5, 10, 3))
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 5, 10, 3)
         actual = series(100 * 1.002 ** np.arange(8))
         with pytest.raises(DataError):
             evaluate_ensemble(ps, actual, self.horizons)
@@ -215,13 +213,13 @@ class TestEvaluateEnsemble:
     def test_mape_against_larger_monte_carlo_oracle(self):
         # expected MAPE estimated from an independent 10x larger ensemble
         mu, sigma, h = 0.0005, 0.015, 60
-        actual_path = simulate_ensemble(GbmParams(100.0, mu, sigma), SimulationConfig(1, h, 101))
+        actual_path = simulate_ensemble(GbmParams(100.0, mu, sigma), 1, h, 101)
         actual = series(actual_path.paths[0])
         horizons = (HorizonSpec("x", h),)
-        small = simulate_ensemble(GbmParams(100.0, mu, sigma), SimulationConfig(1000, h, 202))
-        big = simulate_ensemble(GbmParams(100.0, mu, sigma), SimulationConfig(10_000, h, 303))
-        got = evaluate_ensemble(small, actual, horizons).results[0].mape
-        oracle = evaluate_ensemble(big, actual, horizons).results[0].mape
+        small = simulate_ensemble(GbmParams(100.0, mu, sigma), 1000, h, 202)
+        big = simulate_ensemble(GbmParams(100.0, mu, sigma), 10_000, h, 303)
+        got = evaluate_ensemble(small, actual, horizons)[0].mape
+        oracle = evaluate_ensemble(big, actual, horizons)[0].mape
         assert got == pytest.approx(oracle, rel=0.20)
 
     def test_overflowed_ensemble_is_numeric_error(self):
@@ -232,14 +230,14 @@ class TestEvaluateEnsemble:
 
     def test_overflowing_correlation_is_numeric_error(self):
         # MAPE is finite near 1e200, but the sums of squared deviations are not
-        ps = simulate_ensemble(GbmParams(1e200, 0.0, 0.01), SimulationConfig(20, 10, 3))
+        ps = simulate_ensemble(GbmParams(1e200, 0.0, 0.01), 20, 10, 3)
         actual = series(ps.paths[0])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="1w: correlation is nan"):
                 evaluate_ensemble(ps, actual, self.horizons)
 
     def test_peak_memory_is_about_one_ensemble(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.015), SimulationConfig(1000, 247, 7))
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.015), 1000, 247, 7)
         actual = series(ps.paths[3])
         evaluate_ensemble(ps, actual)  # warm up lazily allocated state
         tracemalloc.start()
@@ -334,7 +332,7 @@ SCORING = dict(case=scoring_cases(), denominator=st.sampled_from(["forecast", "a
 def test_one_buffer_scoring_equals_per_horizon_reference(case, denominator):
     pathset, actual, horizons = case
     got = evaluate_ensemble(pathset, actual, horizons, denominator)
-    assert got.results == time_major_reference(pathset, actual, horizons, denominator)
+    assert got == time_major_reference(pathset, actual, horizons, denominator)
 
 
 @settings(max_examples=300, deadline=None)
@@ -342,7 +340,7 @@ def test_one_buffer_scoring_equals_per_horizon_reference(case, denominator):
 def test_scoring_matches_the_path_major_oracle(case, denominator):
     pathset, actual, horizons = case
     got = evaluate_ensemble(pathset, actual, horizons, denominator)
-    for r, want in zip(got.results, path_major_reference(pathset, actual, horizons, denominator)):
+    for r, want in zip(got, path_major_reference(pathset, actual, horizons, denominator)):
         assert (r.horizon, r.band) == (want.horizon, want.band)
         assert r.mape == pytest.approx(want.mape, rel=1e-13, abs=0)
         if want.mean_correlation is None:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from gbmfolio.errors import DataError
 from gbmfolio.gbm import (
+    BAND_QUANTILES,
     GbmParams,
     PathSet,
-    SimulationConfig,
     _ensemble_normals,
     box_muller,
     ensemble_arrays,
@@ -33,8 +33,7 @@ class TestWienerIncrements:
     @staticmethod
     def increments(n_paths, horizon, dt, seed):
         # mu = sigma^2 / 2 cancels the drift: each log increment is sqrt(dt) times a normal
-        config = SimulationConfig(n_paths, horizon, seed)
-        ps = simulate_ensemble(GbmParams(1.0, 0.5, 1.0, dt=dt), config)
+        ps = simulate_ensemble(GbmParams(1.0, 0.5, 1.0, dt=dt), n_paths, horizon, seed)
         return np.diff(np.log(ps.paths), axis=1).ravel()
 
     def test_standard_moments(self):
@@ -50,8 +49,11 @@ class TestWienerIncrements:
         assert np.array_equal(self.increments(10, 10, 1.0, 3), self.increments(10, 10, 1.0, 3))
 
     def test_validation(self):
-        with pytest.raises(DataError):
-            SimulationConfig(1, 0, 0)
+        for n_paths, horizon in ((0, 5), (5, 0)):
+            with pytest.raises(DataError, match=">= 1"):
+                simulate_ensemble(GbmParams(1.0, 0.5, 1.0), n_paths, horizon, 0)
+        with pytest.raises(DataError, match=">= 1"):
+            ensemble_arrays(0, 5)
         with pytest.raises(DataError):
             GbmParams(1.0, 0.5, 1.0, dt=0.0)
 
@@ -60,13 +62,11 @@ class TestGbmPath:
     """One path: row 0 of a one-path ensemble, or of gbm_paths on given normals."""
 
     def test_sigma_zero_drift(self):
-        config = SimulationConfig(n_paths=1, horizon=2, seed=0)
-        path = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), config).paths[0]
+        path = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), 1, 2, 0).paths[0]
         assert path == pytest.approx([100.0, 100.0 * math.e**0.001, 100.0 * math.e**0.002])
 
     def test_sigma_zero_mu_zero_constant(self):
-        config = SimulationConfig(n_paths=1, horizon=10, seed=0)
-        path = simulate_ensemble(GbmParams(100.0, 0.0, 0.0), config).paths[0]
+        path = simulate_ensemble(GbmParams(100.0, 0.0, 0.0), 1, 10, 0).paths[0]
         assert np.all(path == 100.0)
 
     def test_log_increment_moments(self, rng):
@@ -79,8 +79,7 @@ class TestGbmPath:
         assert inc.std() == pytest.approx(sigma, rel=0.02)
 
     def test_length_and_start(self):
-        config = SimulationConfig(n_paths=1, horizon=30, seed=0)
-        path = simulate_ensemble(GbmParams(42.0, 0.001, 0.02), config).paths[0]
+        path = simulate_ensemble(GbmParams(42.0, 0.001, 0.02), 1, 30, 0).paths[0]
         assert len(path) == 31
         assert path[0] == 42.0
         assert np.all(path > 0)
@@ -155,13 +154,12 @@ class TestPathStream:
         params = GbmParams(100.0, 0.0004, 0.01)
         out = ensemble_arrays(n_paths, horizon)
         for seed in (42, 2**100 + 3):
-            config = SimulationConfig(n_paths, horizon, seed)
-            paths = simulate_ensemble(params, config, out=out).paths
+            paths = simulate_ensemble(params, n_paths, horizon, seed, out=out).paths
             for i in range(n_paths):
                 assert np.array_equal(path_drawn_alone(params, seed, i, horizon), paths[i])
 
     def test_box_muller_moments(self):
-        z = _ensemble_normals(SimulationConfig(4000, 250, 2024)).ravel()
+        z = _ensemble_normals(4000, 250, 2024).ravel()
         assert z.size == 1_000_000
         assert abs(z.mean()) <= 3 / math.sqrt(z.size)
         assert z.std() == pytest.approx(1.0, rel=0.01)
@@ -198,13 +196,13 @@ class TestPathStream:
         np.testing.assert_allclose(normals, reference.T, rtol=0, atol=1e-14)
 
     def test_odd_horizon_uses_padded_row(self):
-        normals = _ensemble_normals(SimulationConfig(3, 5, 1))
+        normals = _ensemble_normals(3, 5, 1)
         assert normals.shape == (5, 3)
         assert np.all(np.isfinite(normals))
 
     def test_negative_seed_is_data_error(self):
         with pytest.raises(DataError, match="seed"):
-            SimulationConfig(seed=-1)
+            simulate_ensemble(GbmParams(1.0, 0.5, 1.0), 1, 5, -1)
         with pytest.raises(DataError, match="seed"):
             uniform_rows(-1, 0, 1, 4)
 
@@ -212,18 +210,18 @@ class TestPathStream:
 class TestEnsemble:
     def test_single_path_reduction(self):
         params = GbmParams(100.0, 0.001, 0.02)
-        ps = simulate_ensemble(params, SimulationConfig(n_paths=1, horizon=20, seed=9))
+        ps = simulate_ensemble(params, 1, 20, 9)
         assert ps.paths.shape == (1, 21)
         assert ps.paths[0, 0] == 100.0
 
     def test_sigma_zero_identical_paths(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), SimulationConfig(50, 10, 1))
+        ps = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), 50, 10, 1)
         assert np.all(ps.paths == ps.paths[0])
 
     def test_lognormal_mean_oracle(self):
         # E[S(t)] = s0 * exp(mu t); SE from the analytic log-normal variance
         mu, sigma, s0, horizon, n = 0.0004, 0.01, 100.0, 247, 5000
-        ps = simulate_ensemble(GbmParams(s0, mu, sigma), SimulationConfig(n, horizon, 4))
+        ps = simulate_ensemble(GbmParams(s0, mu, sigma), n, horizon, 4)
         expected = s0 * math.exp(mu * horizon)
         var = s0**2 * math.exp(2 * mu * horizon) * (math.exp(sigma**2 * horizon) - 1)
         se = math.sqrt(var / n)
@@ -231,28 +229,28 @@ class TestEnsemble:
 
     def test_martingale_style_moments(self):
         mu, sigma, s0 = 0.001, 0.02, 100.0
-        ps = simulate_ensemble(GbmParams(s0, mu, sigma), SimulationConfig(4000, 100, 11))
+        ps = simulate_ensemble(GbmParams(s0, mu, sigma), 4000, 100, 11)
         for k in (10, 50, 100):
             discounted = ps.paths[:, k] / math.exp(mu * k)
             se = discounted.std(ddof=1) / math.sqrt(len(discounted))
             assert abs(discounted.mean() - s0) <= 5 * se
 
     def test_positivity(self):
-        ps = simulate_ensemble(GbmParams(1e-3, -0.05, 0.5), SimulationConfig(200, 100, 2))
+        ps = simulate_ensemble(GbmParams(1e-3, -0.05, 0.5), 200, 100, 2)
         assert np.all(ps.paths > 0)
 
     def test_bit_identical_reruns(self):
         params = GbmParams(100.0, 0.0004, 0.01)
-        config = SimulationConfig(100, 50, 123)
-        a = simulate_ensemble(params, config)
-        b = simulate_ensemble(params, config)
+        config = (100, 50, 123)
+        a = simulate_ensemble(params, *config)
+        b = simulate_ensemble(params, *config)
         assert np.array_equal(a.paths, b.paths)
 
     def test_path_depends_only_on_seed_and_index(self):
         # path i is unchanged when the ensemble grows
         params = GbmParams(100.0, 0.0004, 0.01)
-        small = simulate_ensemble(params, SimulationConfig(3, 40, 77))
-        large = simulate_ensemble(params, SimulationConfig(10, 40, 77))
+        small = simulate_ensemble(params, 3, 40, 77)
+        large = simulate_ensemble(params, 10, 40, 77)
         assert np.array_equal(small.paths, large.paths[:3])
 
 
@@ -262,9 +260,9 @@ class TestDrawArrays:
     PARAMS = GbmParams(100.0, 0.0004, 0.01)
 
     def test_draws_without_out_share_no_memory(self):
-        config = SimulationConfig(50, 30, 1)
-        first = simulate_ensemble(self.PARAMS, config)
-        second = simulate_ensemble(self.PARAMS, config)
+        config = (50, 30, 1)
+        first = simulate_ensemble(self.PARAMS, *config)
+        second = simulate_ensemble(self.PARAMS, *config)
         assert not np.shares_memory(first.paths, second.paths)
 
     @pytest.mark.parametrize("n_paths", N_PATHS)
@@ -272,29 +270,29 @@ class TestDrawArrays:
     def test_reused_arrays_give_the_fresh_paths(self, horizon, n_paths):
         out = ensemble_arrays(n_paths, horizon)
         for seed in (3, 2**100 + 3, 77):
-            config = SimulationConfig(n_paths, horizon, seed)
-            reused = simulate_ensemble(self.PARAMS, config, out=out)
+            config = (n_paths, horizon, seed)
+            reused = simulate_ensemble(self.PARAMS, *config, out=out)
             assert np.shares_memory(reused.paths, out[1])
             assert not reused.paths.flags.writeable and out[1].flags.writeable
-            assert np.array_equal(reused.paths, simulate_ensemble(self.PARAMS, config).paths)
+            assert np.array_equal(reused.paths, simulate_ensemble(self.PARAMS, *config).paths)
 
     @pytest.mark.parametrize("shape", [(10, 24), (10, 18), (11, 20)])
     def test_arrays_of_another_shape_are_data_error(self, shape):
         with pytest.raises(DataError, match="shape"):
-            simulate_ensemble(self.PARAMS, SimulationConfig(10, 20, 0), out=ensemble_arrays(*shape))
+            simulate_ensemble(self.PARAMS, 10, 20, 0, out=ensemble_arrays(*shape))
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_one_array_of_another_shape_is_data_error(self, which):
         out = list(ensemble_arrays(10, 20))
         out[which] = np.empty(out[which].shape[::-1])
         with pytest.raises(DataError, match="shape"):
-            simulate_ensemble(self.PARAMS, SimulationConfig(10, 20, 0), out=tuple(out))
+            simulate_ensemble(self.PARAMS, 10, 20, 0, out=tuple(out))
 
     def test_reused_draw_allocates_under_a_tenth_of_the_paths(self):
-        config = SimulationConfig(1000, 247, 5)
+        config = (1000, 247, 5)
         out = ensemble_arrays(1000, 247)
-        paths = simulate_ensemble(self.PARAMS, config, out=out).paths
-        assert peak_allocation(lambda: simulate_ensemble(self.PARAMS, config, out=out)) < (
+        paths = simulate_ensemble(self.PARAMS, *config, out=out).paths
+        assert peak_allocation(lambda: simulate_ensemble(self.PARAMS, *config, out=out)) < (
             0.1 * paths.nbytes
         )
 
@@ -309,7 +307,7 @@ def peak_allocation(call):
         tracemalloc.stop()
 
 
-def reference_envelope(pathset, lower_q=0.05, upper_q=0.95):
+def reference_envelope(pathset, lower_q, upper_q):
     """envelope of version 0.3.0 as first released, sorting down path-major columns."""
     paths = pathset.paths
     sorted_cols = np.sort(paths, axis=0)
@@ -340,47 +338,33 @@ def path_sets(draw):
 
 class TestEnvelope:
     def test_sigma_zero_collapse(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), SimulationConfig(20, 10, 1))
-        env = envelope(ps, 0.05, 0.95)
-        assert np.array_equal(env.lower, env.upper)
-        assert np.allclose(env.mean, ps.paths[0])
-
-    def test_min_max_band(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.001, 0.03), SimulationConfig(50, 20, 5))
-        env = envelope(ps, 0.0, 1.0)
-        assert np.array_equal(env.lower, ps.paths.min(axis=0))
-        assert np.array_equal(env.upper, ps.paths.max(axis=0))
+        ps = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), 20, 10, 1)
+        mean, lower, upper = envelope(ps)
+        assert np.array_equal(lower, upper)
+        assert np.allclose(mean, ps.paths[0])
 
     def test_nearest_rank_oracle(self):
-        # three constant paths at 90/100/110: median 100, upper(q=1) 110
-        env = envelope(PathSet([[90.0] * 5, [100.0] * 5, [110.0] * 5]), 0.5, 1.0)
-        assert np.all(env.lower == 100.0)
-        assert np.all(env.upper == 110.0)
-        assert np.all(env.mean == 100.0)
+        # constant paths at 1..20: rank ceil(0.05 * 20) = 1 and ceil(0.95 * 20) = 19
+        mean, lower, upper = envelope(PathSet([[float(p)] * 5 for p in range(20, 0, -1)]))
+        assert np.all(lower == 1.0)
+        assert np.all(upper == 19.0)
+        assert np.all(mean == 10.5)
 
     @settings(max_examples=300, deadline=None)
-    @given(path_sets(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    @example(PathSet([[1.0, math.inf]] * 3), 0.0, 1.0)
-    @example(PathSet([[2.0, 3.0]]), 0.0, 1.0)
-    def test_matches_the_column_sort_reference(self, pathset, q1, q2):
-        lower_q, upper_q = sorted((q1, q2))
-        if lower_q == upper_q:
-            lower_q, upper_q = 0.0, 1.0
+    @given(path_sets())
+    @example(PathSet([[1.0, math.inf]] * 3))
+    @example(PathSet([[2.0, 3.0]]))
+    def test_matches_the_column_sort_reference(self, pathset):
         with np.errstate(all="ignore"):  # the mean of inf and -inf is nan
-            env = envelope(pathset, lower_q, upper_q)
-            reference = reference_envelope(pathset, lower_q, upper_q)
-        for got, want in zip((env.lower, env.upper, env.mean), reference):
+            mean, lower, upper = envelope(pathset)
+            reference = reference_envelope(pathset, *BAND_QUANTILES)
+        for got, want in zip((lower, upper, mean), reference):
             assert np.array_equal(got, want, equal_nan=True)
 
     def test_allocates_at_most_a_tenth_more_than_the_paths(self):
         params = GbmParams(100.0, 0.0004, 0.01)
-        ps = simulate_ensemble(params, SimulationConfig(1000, 247, 5))
+        ps = simulate_ensemble(params, 1000, 247, 5)
         assert peak_allocation(lambda: envelope(ps)) <= 1.1 * ps.paths.nbytes
-
-    def test_invalid_quantiles(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0, 0.01), SimulationConfig(5, 5, 0))
-        with pytest.raises(DataError):
-            envelope(ps, 0.9, 0.1)
 
 
 class TestSyntheticUniverse:

@@ -44,7 +44,9 @@ class TestLoadCsv:
         rows = [(f"2019-01-{d:02d}", "10.0") for d in (2, 3, 4, 7, 8)]
         rows[2] = ("2019-01-04", "null")
         write_csv(path, rows)
-        assert len(load_csv(path, "A")) == 4
+        # the header is line 1, so row 2 is line 4
+        with pytest.warns(UserWarning, match="^A: dropping line 4: unparseable date or price$"):
+            assert len(load_csv(path, "A")) == 4
 
     def test_single_valid_row_rejected(self, tmp_path):
         path = tmp_path / "a.csv"
