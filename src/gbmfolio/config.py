@@ -29,6 +29,10 @@ class RunConfig:
         for key in ("data_dir", "out_dir"):
             if not getattr(self, key):
                 raise DataError(f"{key} is empty; name a directory (. for the current one)")
+        for window in ("calibration", "evaluation"):
+            start, end = getattr(self, f"{window}_start"), getattr(self, f"{window}_end")
+            if start > end:
+                raise DataError(f"{window}_start {start} is after {window}_end {end}")
         if self.calibration_end >= self.evaluation_start:
             raise DataError("calibration window must end before evaluation window starts")
         if self.n_paths < 1 or self.n_trials < 1:
@@ -95,6 +99,8 @@ def load_config(path):
                 key = key.strip()
                 if not eq or key not in SETTINGS:
                     raise DataError(f"{path}:{lineno}: bad config line {line!r}")
+                if key in values:
+                    raise DataError(f"{path}:{lineno}: {key} is set more than once")
                 try:
                     values[key] = SETTINGS[key](value.strip())
                 except ValueError as exc:

@@ -2,10 +2,10 @@
 
 Paths follow S(t) = S(0) * exp((mu - sigma^2/2) t + sigma W(t)) sampled
 at daily steps, with W built from standard-normal increments scaled by
-sqrt(dt). Path i of an ensemble is row i of the seed's counter stream
-(see streams.py), turned into normals by Box-Muller, so it depends on
-(seed, i) alone and results are reproducible regardless of execution order,
-and of which arrays the ensemble is drawn into.
+sqrt(dt). Path i of an ensemble is row i of the seed's stream (see
+streams.py), turned into normals by Box-Muller, so it depends on
+(seed, i) alone and results are reproducible regardless of execution
+order, and of which arrays the ensemble is drawn into.
 
 An ensemble is time-major from draw to band: one row per step, one
 column per path. The stream is drawn path-major, one row per path, and
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .streams import padded_width, uniform_rows
+from .streams import uniform_rows
 
 # the forecast band: the 5% and 95% nearest-rank quantiles of each step
 BAND_QUANTILES = (0.05, 0.95)
@@ -127,7 +127,7 @@ def _array_shapes(n_paths, horizon):
     if n_paths < 1 or horizon < 1:
         raise DataError("n_paths and horizon must be >= 1")
     width = 2 * -(-horizon // 2)  # uniforms per path: Box-Muller takes them in pairs
-    return (n_paths, padded_width(width)), (width + 1, n_paths)
+    return (n_paths, width), (width + 1, n_paths)
 
 
 def ensemble_arrays(n_paths, horizon):
@@ -144,11 +144,11 @@ def _ensemble_normals(n_paths, horizon, seed, arrays=None):
     """The (horizon, n_paths) normals an ensemble is drawn from: rows 1.. of `steps`.
 
     The uniform block is read transposed, and Box-Muller's scratch rows are
-    the front of that block, dead once each half has been read.
+    the front half of that contiguous block, dead once both halves are read.
     """
     uniforms, steps = arrays or ensemble_arrays(n_paths, horizon)
     rows = uniform_rows(seed, 0, n_paths, steps.shape[0] - 1, out=uniforms)
-    scratch = uniforms.reshape(-1)[: rows.size // 2].reshape(-1, n_paths)
+    scratch = rows.reshape(-1, n_paths)[: rows.shape[1] // 2]
     return box_muller(rows.T, horizon, out=steps[1:], scratch=scratch)
 
 

@@ -75,7 +75,7 @@ def trial_weights(seed, first, count, n_assets):
     """Weights of trials first .. first+count-1, shape (count, n_assets).
 
     Trial 0 is the equal-weight portfolio; trial i >= 1 is row i of the
-    seed's counter stream, normalized by its sum.
+    seed's stream (streams.uniform_rows), normalized by its sum.
     """
     block = _normalize_rows(uniform_rows(seed, first, count, n_assets))
     if first == 0:
@@ -113,7 +113,7 @@ def optimize_max_sharpe(panel, n_trials, seed, risk_free, block_size=8192):
     """Best Sharpe among random-weight trials plus the equal-weight baseline.
 
     Trial 0 is always the equal-weight portfolio, so the result can never
-    be worse than it. Trial i >= 1 is row i of the seed's counter stream
+    be worse than it. Trial i >= 1 is row i of the seed's stream
     (trial_weights): it depends on (seed, i) alone, so the result is the
     same for every block size.
     """

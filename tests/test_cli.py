@@ -438,6 +438,28 @@ class TestUsageAndConfig:
         assert {p.name for p in data.iterdir()} == {p.name for p in universe_dir.iterdir()}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "window, start, end",
+        [("calibration", "2018-12-31", "2016-01-01"), ("evaluation", "2019-12-31", "2019-01-01")],
+    )
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_a_reversed_window_names_its_settings(
+        self, universe_dir, tmp_path, capsys, window, start, end, route
+    ):
+        dates = {f"{window}_start": start, f"{window}_end": end}
+        message = f"data error: {window}_start {start} is after {window}_end {end}"
+        if route == "flag":
+            argv = [arg for key, day in dates.items() for arg in (f"--{key.replace('_', '-')}", day)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{key} = {day}\n" for key, day in dates.items()))
+            argv = ["--config", str(cfg)]
+            message += f" (with settings from {cfg})"
+        out = tmp_path / "out"
+        assert run(universe_dir, out, *argv, "stats", "SYN00") == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("blocked", ["out_dir_is_a_file", "output_is_a_directory"])
     def test_unwritable_out_dir_is_data_error(self, universe_dir, tmp_path, blocked):
         out = tmp_path / "out"
@@ -725,7 +747,7 @@ class TestReport:
         assert rc == 0
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert "backend" not in manifest
-        assert manifest["streams"] == "philox-counter-v1"
+        assert manifest["streams"] == "pcg64dxsm-advance-v1"
         assert manifest["versions"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,

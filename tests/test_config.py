@@ -27,6 +27,12 @@ class TestRunConfig:
         horizons = (HorizonSpec("week", 5), HorizonSpec("1w", 5))
         assert RunConfig(horizons=horizons).horizons == horizons
 
+    def test_a_window_may_start_and_end_on_one_day(self):
+        day = dt.date(2019, 6, 28)
+        assert RunConfig(evaluation_start=day, evaluation_end=day).evaluation_end == day
+        with pytest.raises(DataError, match="evaluation_start 2019-06-28 is after evaluation_end"):
+            RunConfig(evaluation_start=day, evaluation_end=day - dt.timedelta(days=1))
+
 
 class TestLoadConfig:
     def test_values_and_comments(self, tmp_path):
@@ -39,6 +45,12 @@ class TestLoadConfig:
         path = tmp_path / "run.cfg"
         path.write_text("calibration_end = 2019-06-28\n")
         assert load_config(path) == {"calibration_end": dt.date(2019, 6, 28)}
+
+    def test_repeated_key_is_data_error(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\n# again\nseed = 7\n")
+        with pytest.raises(DataError, match=r"run\.cfg:3: seed is set more than once"):
+            load_config(path)
 
     def test_non_utf8_is_data_error(self, tmp_path):
         path = tmp_path / "run.cfg"

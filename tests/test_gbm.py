@@ -23,7 +23,7 @@ from gbmfolio.gbm import (
 from gbmfolio.streams import uniform_rows
 from gbmfolio.synthetic import make_universe
 
-HORIZONS = (1, 2, 5, 6, 247, 248)  # odd and even, around one and two stream counters
+HORIZONS = (1, 2, 5, 6, 247, 248)  # odd and even: an odd horizon drops its last normal
 N_PATHS = (1, 3, 300)
 
 
@@ -141,6 +141,22 @@ class TestPathStream:
     HORIZON = 247
     WIDTH = 248  # 2 * ceil(247 / 2) uniforms per path
 
+    @pytest.mark.parametrize("width", [1, 13, WIDTH])
+    @pytest.mark.parametrize("first", [0, 1, 4000])
+    def test_rows_are_consecutive_pcg64dxsm_words(self, width, first):
+        seed, count = 2**100 + 3, 7
+        words = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed)))
+        expected = words.random((first + count) * width)[first * width :].reshape(count, width)
+        assert np.array_equal(uniform_rows(seed, first, count, width), expected)
+
+    def test_rows_are_drawn_into_out_contiguously(self):
+        buf = np.empty((5, 13))
+        rows = uniform_rows(7, 3, 5, 13, out=buf)
+        assert rows is buf and rows.flags.c_contiguous
+        assert np.array_equal(rows, uniform_rows(7, 3, 5, 13))
+        with pytest.raises(DataError, match="shape"):
+            uniform_rows(7, 3, 5, 13, out=np.empty((5, 16)))
+
     def test_row_alone_equals_row_in_block(self):
         seed = 2**100 + 3  # a subject seed wider than 128 bits
         block = uniform_rows(seed, 0, 8192, self.WIDTH)
@@ -195,7 +211,8 @@ class TestPathStream:
         reference = reference_box_muller(uniforms.copy(), 2)
         np.testing.assert_allclose(normals, reference.T, rtol=0, atol=1e-14)
 
-    def test_odd_horizon_uses_padded_row(self):
+    def test_odd_horizon_draws_an_even_row(self):
+        assert ensemble_arrays(3, 5)[0].shape == (3, 6)  # 2 * ceil(5 / 2) words per path
         normals = _ensemble_normals(3, 5, 1)
         assert normals.shape == (5, 3)
         assert np.all(np.isfinite(normals))
