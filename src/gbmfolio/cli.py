@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import SETTINGS, RunConfig, load_config
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, SettingsError
 from .evaluation import evaluate_ensemble
 from .gbm import GbmParams, ensemble_arrays, envelope, simulate_ensemble
 from .market_data import PricePanel, PriceSeries, align_panel, load_csv, slice_panel, slice_period
@@ -195,13 +195,24 @@ class Run:
 
         One load_csv per file; the rest of the history is not kept.
         """
-        c = self.config
+        data_dir = Path(self.config.data_dir)
         return {
-            t: slice_period(
-                load_csv(Path(c.data_dir) / f"{t}.csv", t), c.calibration_start, c.evaluation_end
-            )
+            t: self._cut(load_csv(data_dir / f"{t}.csv", t), "calibration_start", "evaluation_end")
             for t in self.tickers
         }
+
+    def _cut(self, series, first, last):
+        """`series` over the dates of the settings `first`..`last`.
+
+        Too few days there is the settings' fault, so the error names them.
+        """
+        start, end = getattr(self.config, first), getattr(self.config, last)
+        try:
+            return slice_period(series, start, end)
+        except DataError:
+            raise SettingsError(
+                f"{series.ticker}: {first}..{last} ({start}..{end}) holds fewer than 2 trading days"
+            ) from None
 
     @cached_property
     def panel(self):
@@ -230,10 +241,8 @@ class Run:
         """A subject's AssetStats over its calibration window, once per run."""
         stats = self._stats.get(subject)
         if stats is None:
-            c = self.config
-            series = self.subject_series(subject)
-            calib = slice_period(series, c.calibration_start, c.calibration_end)
-            stats = self._stats[subject] = asset_stats(calib, c.risk_free)
+            calib = self._cut(self.subject_series(subject), "calibration_start", "calibration_end")
+            stats = self._stats[subject] = asset_stats(calib, self.config.risk_free)
         return stats
 
     def groups(self, metric):
@@ -276,7 +285,7 @@ class Run:
         series = self.subject_series(subject)
         day0 = bisect.bisect_right(series.dates, c.calibration_end) - 1  # last calibration day
         s0 = float(series.prices[day0])
-        evaluation = slice_period(series, c.evaluation_start, c.evaluation_end)
+        evaluation = self._cut(series, "evaluation_start", "evaluation_end")
         max_h = max(h.days for h in c.horizons)
         if len(evaluation) < max_h:
             raise DataError(f"{subject}: evaluation window shorter than horizon {max_h}")
@@ -431,6 +440,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _Once(argparse.Action):
+    """Store an option's value; an option given twice is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"argument {option_string}: given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _flag_value(parse):
     """argparse type for `parse`: a value it rejects is a usage error."""
 
@@ -457,10 +475,12 @@ _HELP = {
 
 def build_parser():
     parser = _Parser(prog="gbmfolio", description=__doc__)
-    parser.add_argument("--config", help="flat key=value config file")
+    parser.add_argument("--config", action=_Once, help="flat key=value config file")
     for key, parse in SETTINGS.items():
         flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
-        parser.add_argument(flag, dest=key, type=_flag_value(parse), help=_HELP.get(key))
+        parser.add_argument(
+            flag, dest=key, action=_Once, type=_flag_value(parse), help=_HELP.get(key)
+        )
 
     sub = parser.add_subparsers(dest="command", required=True)
     p_stats = sub.add_parser("stats", help="per-asset return/risk/Sharpe table")
@@ -468,10 +488,10 @@ def build_parser():
         "tickers", nargs="*", type=_flag_value(_ticker_arg), help="default: every ticker"
     )
     p_group = sub.add_parser("group", help="ranked grouping of the universe")
-    p_group.add_argument("--metric", required=True, choices=METRICS)
+    p_group.add_argument("--metric", action=_Once, required=True, choices=METRICS)
     p_sim = sub.add_parser("simulate", help="simulate and evaluate forecasts")
     p_sim.add_argument(
-        "--subject", required=True, type=_flag_value(_subject_arg),
+        "--subject", action=_Once, required=True, type=_flag_value(_subject_arg),
         help="ticker, <metric>-<n>, or all",
     )
     sub.add_parser("report", help="full pipeline over the whole universe")
@@ -482,12 +502,7 @@ def _resolve_config(args):
     """Defaults, then the config file, then every flag that was given, checked once."""
     values = load_config(args.config) if args.config else {}
     values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
-    try:
-        return RunConfig(**values)
-    except DataError as exc:
-        if args.config:
-            raise DataError(f"{exc} (with settings from {args.config})") from None
-        raise
+    return RunConfig(**values)
 
 
 def main(argv=None):
@@ -500,7 +515,10 @@ def main(argv=None):
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             run_command(_resolve_config(args), args)
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        note = ""
+        if isinstance(exc, SettingsError) and args.config:
+            note = f" (with settings from {args.config})"
+        print(f"data error: {exc}{note}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, SettingsError
 from .evaluation import DEFAULT_HORIZONS, MAPE_DENOMINATORS, HorizonSpec
 
 
@@ -28,27 +28,27 @@ class RunConfig:
     def __post_init__(self):
         for key in ("data_dir", "out_dir"):
             if not getattr(self, key):
-                raise DataError(f"{key} is empty; name a directory (. for the current one)")
+                raise SettingsError(f"{key} is empty; name a directory (. for the current one)")
         for window in ("calibration", "evaluation"):
             start, end = getattr(self, f"{window}_start"), getattr(self, f"{window}_end")
             if start > end:
-                raise DataError(f"{window}_start {start} is after {window}_end {end}")
+                raise SettingsError(f"{window}_start {start} is after {window}_end {end}")
         if self.calibration_end >= self.evaluation_start:
-            raise DataError("calibration window must end before evaluation window starts")
+            raise SettingsError("calibration window must end before evaluation window starts")
         if self.n_paths < 1 or self.n_trials < 1:
-            raise DataError("paths and trials must be >= 1")
+            raise SettingsError("paths and trials must be >= 1")
         if self.group_count < 1 or self.group_size < 1:
-            raise DataError("group count and size must be >= 1")
+            raise SettingsError("group count and size must be >= 1")
         if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
+            raise SettingsError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.risk_free):
-            raise DataError(f"risk_free must be finite, got {self.risk_free}")
+            raise SettingsError(f"risk_free must be finite, got {self.risk_free}")
         labels = [h.label for h in self.horizons]
         for label in labels:
             if labels.count(label) > 1:
-                raise DataError(f"horizon label {label!r} is given more than once")
+                raise SettingsError(f"horizon label {label!r} is given more than once")
         if self.mape_denominator not in MAPE_DENOMINATORS:
-            raise DataError(f"unknown mape_denominator {self.mape_denominator!r}")
+            raise SettingsError(f"unknown mape_denominator {self.mape_denominator!r}")
 
 
 def parse_horizons(text):

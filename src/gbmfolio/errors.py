@@ -9,5 +9,9 @@ class DataError(GbmfolioError):
     """Bad or insufficient input data (files, windows, alignment)."""
 
 
+class SettingsError(DataError):
+    """Run settings that are invalid, alone or against the data they select."""
+
+
 class NumericError(GbmfolioError):
     """A quantity is mathematically undefined for the given inputs."""

@@ -6,7 +6,6 @@ daily-export layout, weekday dates, GBM prices with per-ticker drift and
 volatility.
 """
 
-import csv
 import datetime as dt
 from pathlib import Path
 
@@ -37,6 +36,7 @@ def make_universe(
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     dates = weekday_range(start, end)
+    labels = [d.isoformat() for d in dates]
     horizon = len(dates) - 1
     tickers = [f"SYN{i:02d}" for i in range(n_assets)]
     for i, ticker in enumerate(tickers):
@@ -45,10 +45,11 @@ def make_universe(
         sigma = rng.uniform(0.005, 0.035)
         s0 = rng.uniform(5.0, 80.0)
         prices = gbm_paths(s0, mu, sigma, 1.0, rng.standard_normal((horizon, 1)))[:, 0]
-        with open(data_dir / f"{ticker}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"])
-            for date, price in zip(dates, prices):
-                p = f"{price:.6f}"
-                writer.writerow([date.isoformat(), p, p, p, p, p, "0"])
+        # the bytes csv.writer's excel dialect writes: \r\n line ends, and no
+        # ISO date or fixed-point price holds a character it would quote
+        text = "Date,Open,High,Low,Close,Adj Close,Volume\r\n" + "".join(
+            f"{date},{p},{p},{p},{p},{p},0\r\n"
+            for date, p in zip(labels, map("{:.6f}".format, prices.tolist()))
+        )
+        (data_dir / f"{ticker}.csv").write_text(text, newline="")
     return tickers

@@ -447,18 +447,71 @@ class TestUsageAndConfig:
         self, universe_dir, tmp_path, capsys, window, start, end, route
     ):
         dates = {f"{window}_start": start, f"{window}_end": end}
-        message = f"data error: {window}_start {start} is after {window}_end {end}"
-        if route == "flag":
-            argv = [arg for key, day in dates.items() for arg in (f"--{key.replace('_', '-')}", day)]
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text("".join(f"{key} = {day}\n" for key, day in dates.items()))
-            argv = ["--config", str(cfg)]
-            message += f" (with settings from {cfg})"
+        argv, suffix = settings_argv(tmp_path, dates, route)
         out = tmp_path / "out"
         assert run(universe_dir, out, *argv, "stats", "SYN00") == 2
-        assert capsys.readouterr().err == message + "\n"
+        assert capsys.readouterr().err == (
+            f"data error: {window}_start {start} is after {window}_end {end}{suffix}\n"
+        )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "settings, named, command",
+        [
+            (
+                {"calibration_start": "2018-12-31", "calibration_end": "2018-12-31"},
+                ("calibration_start", "calibration_end"),
+                ["stats", "SYN00"],
+            ),
+            (
+                {"evaluation_start": "2019-12-31", "evaluation_end": "2019-12-31"},
+                ("evaluation_start", "evaluation_end"),
+                ["--paths", "10", "simulate", "--subject", "SYN00"],
+            ),
+            (
+                {
+                    "calibration_start": "2020-01-01", "calibration_end": "2020-01-31",
+                    "evaluation_start": "2020-02-03", "evaluation_end": "2020-03-31",
+                },
+                ("calibration_start", "evaluation_end"),
+                ["stats", "SYN00"],
+            ),
+        ],
+        ids=["calibration", "evaluation", "whole-run"],
+    )
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_a_window_too_short_for_a_ticker_names_its_settings(
+        self, universe_dir, tmp_path, capsys, settings, named, command, route
+    ):
+        first, last = named
+        argv, suffix = settings_argv(tmp_path, settings, route)
+        out = tmp_path / "out"
+        assert run(universe_dir, out, *argv, *command) == 2
+        assert capsys.readouterr().err == (
+            f"data error: SYN00: {first}..{last} ({settings[first]}..{settings[last]})"
+            f" holds fewer than 2 trading days{suffix}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option, argv",
+        [
+            ("--config", ["--config", "run.cfg", "--config", "run.cfg", "stats"]),
+            ("--metric", ["group", "--metric", "risk", "--metric", "risk"]),
+            ("--subject", ["simulate", "--subject", "SYN00", "--subject", "SYN01"]),
+        ],
+    )
+    def test_an_option_given_twice_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, option, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: argument {option}: given more than once"
+        )
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("blocked", ["out_dir_is_a_file", "output_is_a_directory"])
     def test_unwritable_out_dir_is_data_error(self, universe_dir, tmp_path, blocked):
@@ -590,6 +643,15 @@ def flag_of(key):
     return {"n_paths": "--paths", "n_trials": "--trials"}.get(key, "--" + key.replace("_", "-"))
 
 
+def settings_argv(tmp_path, settings, route):
+    """`settings` as flags or as a config file: (argv, what a config file adds to an error)."""
+    if route == "flag":
+        return [arg for key, text in settings.items() for arg in (flag_of(key), text)], ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n" for key, text in settings.items()))
+    return ["--config", str(cfg)], f" (with settings from {cfg})"
+
+
 def resolve(*argv):
     return cli._resolve_config(cli.build_parser().parse_args([*argv, "report"]))
 
@@ -606,6 +668,19 @@ class TestSettings:
         from_flag = resolve(flag_of(key), text)
         assert from_flag == resolve("--config", str(cfg))
         assert getattr(from_flag, key) != getattr(RunConfig(), key)
+
+    @pytest.mark.parametrize("key", list(SETTINGS))
+    def test_a_flag_given_twice_is_a_usage_error(self, tmp_path, monkeypatch, capsys, key):
+        # even with the same value: a repeat is a slip, not a setting
+        flag, text = flag_of(key), SETTING_TEXTS[key]
+        monkeypatch.chdir(tmp_path)  # the default out_dir would land here
+        with pytest.raises(SystemExit) as exc:
+            main([flag, text, flag, text, "stats", "SYN00"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: argument {flag}: given more than once"
+        )
+        assert not any(tmp_path.iterdir())
 
     def test_global_flags_are_the_settings_plus_config_and_help(self):
         actions = [a for a in cli.build_parser()._actions if a.option_strings]

@@ -396,3 +396,20 @@ class TestSyntheticUniverse:
         assert digest.hexdigest() == (
             "01e4e0bdbf3e1f68149176a01eef3d8ab7e36dc0f92428e7992770f553b25ca3"
         )
+
+    @pytest.mark.parametrize(
+        "start, digest",
+        [
+            # report-paper and forecast-all
+            (dt.date(2016, 1, 4), "d1a10ad05de0bb236647ffd5c3ebeaf7542c61e618c22e153f50cf3ad4f6bd62"),
+            # history-long
+            (dt.date(2008, 1, 2), "4fb04fe19a28ed77f12e8fd1d22c21efc530fae9dcd59095561101d89c270106"),
+        ],
+    )
+    def test_benchmark_universes_pinned(self, tmp_path, start, digest):
+        # the seed-1, 78-asset universes the benchmark writes, as version 0.5.0 wrote them
+        tickers = make_universe(tmp_path, n_assets=78, start=start, end=dt.date(2019, 12, 30), seed=1)
+        sha = hashlib.sha256()
+        for ticker in tickers:
+            sha.update((tmp_path / f"{ticker}.csv").read_bytes())
+        assert sha.hexdigest() == digest
