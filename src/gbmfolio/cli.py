@@ -18,7 +18,6 @@ import json
 import platform
 import re
 import sys
-import warnings
 import zlib
 from dataclasses import asdict
 from functools import cached_property, lru_cache
@@ -201,18 +200,24 @@ class Run:
             for t in self.tickers
         }
 
-    def _cut(self, series, first, last):
-        """`series` over the dates of the settings `first`..`last`.
+    def _too_few_days(self, first, last, what=None):
+        """The error for a window `first`..`last` that leaves `what` fewer than 2 days.
 
-        Too few days there is the settings' fault, so the error names them.
+        `what` is a subject, or by default the tickers' inner join. Too few
+        days there is the settings' fault, so the error names them.
         """
+        what = what or f"inner join of {len(self.tickers)} tickers"
         start, end = getattr(self.config, first), getattr(self.config, last)
+        return SettingsError(
+            f"{what}: {first}..{last} ({start}..{end}) holds fewer than 2 trading days"
+        )
+
+    def _cut(self, series, first, last):
+        """`series` over the dates of the settings `first`..`last`."""
         try:
-            return slice_period(series, start, end)
+            return slice_period(series, getattr(self.config, first), getattr(self.config, last))
         except DataError:
-            raise SettingsError(
-                f"{series.ticker}: {first}..{last} ({start}..{end}) holds fewer than 2 trading days"
-            ) from None
+            raise self._too_few_days(first, last, series.ticker) from None
 
     @cached_property
     def panel(self):
@@ -220,12 +225,22 @@ class Run:
 
         Each series is already cut to that window, and the join cannot widen it.
         """
-        return align_panel([self.series[t] for t in self.tickers])
+        series = [self.series[t] for t in self.tickers]  # a file's own errors pass through
+        try:
+            panel = align_panel(series)
+        except DataError:  # no date common to every ticker
+            panel = None
+        if panel is None or len(panel.dates) < 2:
+            raise self._too_few_days("calibration_start", "evaluation_end")
+        return panel
 
     @cached_property
     def calibration_panel(self):
-        c = self.config
-        return slice_panel(self.panel, c.calibration_start, c.calibration_end)
+        c, panel = self.config, self.panel  # the join's own error passes through
+        try:
+            return slice_panel(panel, c.calibration_start, c.calibration_end)
+        except DataError:
+            raise self._too_few_days("calibration_start", "calibration_end") from None
 
     def subject_series(self, subject):
         """A subject's prices over the whole window: a ticker's own or a group's value."""
@@ -286,23 +301,25 @@ class Run:
         day0 = bisect.bisect_right(series.dates, c.calibration_end) - 1  # last calibration day
         s0 = float(series.prices[day0])
         evaluation = self._cut(series, "evaluation_start", "evaluation_end")
-        max_h = max(h.days for h in c.horizons)
+        longest = max(c.horizons, key=lambda h: h.days)
+        max_h = longest.days
         if len(evaluation) < max_h:
-            raise DataError(f"{subject}: evaluation window shorter than horizon {max_h}")
+            raise SettingsError(
+                f"{subject}: evaluation_start..evaluation_end ({c.evaluation_start}.."
+                f"{c.evaluation_end}) holds {len(evaluation)} trading days, fewer than"
+                f" the longest horizon ({longest.label}, {max_h} days)"
+            )
         actual = PriceSeries(
             subject,
             (series.dates[day0],) + evaluation.dates[:max_h],
             np.concatenate(([s0], evaluation.prices[:max_h])),
         )
         params = GbmParams(s0=s0, mu=stats.mu_daily, sigma=stats.sigma_daily)
-        # an ensemble that overflows is reported once, as the NumericError
-        # evaluate_ensemble raises for any non-finite score, not as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            paths = simulate_ensemble(
-                params, c.n_paths, max_h, _subject_seed(c, subject), out=self.draw_arrays
-            )
-            report = evaluate_ensemble(paths, actual, c.horizons, denominator=c.mape_denominator)
-            band = envelope(paths)
+        paths = simulate_ensemble(
+            params, c.n_paths, max_h, _subject_seed(c, subject), out=self.draw_arrays
+        )
+        report = evaluate_ensemble(paths, actual, c.horizons, denominator=c.mape_denominator)
+        band = envelope(paths)
         return report, band, actual
 
     # -- outputs ------------------------------------------------------------
@@ -511,8 +528,7 @@ def main(argv=None):
     if args.command == "stats" and len(set(args.tickers)) < len(args.tickers):
         parser.error("stats: a ticker is named more than once")
     try:
-        with warnings.catch_warnings():  # restores the caller's warning state
-            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        with np.errstate(all="ignore"):  # every non-finite result is raised where it arises
             run_command(_resolve_config(args), args)
     except DataError as exc:
         note = ""

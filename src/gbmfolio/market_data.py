@@ -16,7 +16,7 @@ import datetime as dt
 import functools
 import math
 import operator
-import warnings
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -89,6 +89,10 @@ def _parse_date(text):
     return dt.date.fromisoformat(text.strip())
 
 
+def _drop(ticker, what):
+    print(f"warning: {ticker}: {what}", file=sys.stderr)
+
+
 def _read_rows(reader, path, ticker):
     """The dates and prices of every usable row, in file order, after the header."""
     try:
@@ -112,19 +116,19 @@ def _read_rows(reader, path, ticker):
         if not row:  # a blank line is not a row
             continue
         if len(row) <= last_col:
-            warnings.warn(f"{ticker}: dropping line {reader.line_num}: too few fields")
+            _drop(ticker, f"dropping line {reader.line_num}: too few fields")
             continue
         try:
             date = _parse_date(row[date_col])
             price = float(row[price_col])
         except ValueError:
-            warnings.warn(f"{ticker}: dropping line {reader.line_num}: unparseable date or price")
+            _drop(ticker, f"dropping line {reader.line_num}: unparseable date or price")
             continue
         if not math.isfinite(price):
-            warnings.warn(f"{ticker}: dropping non-finite price on {row[date_col]}")
+            _drop(ticker, f"dropping non-finite price on {row[date_col]}")
             continue
         if price <= 0:
-            warnings.warn(f"{ticker}: dropping non-positive price on {row[date_col]}")
+            _drop(ticker, f"dropping non-positive price on {row[date_col]}")
             continue
         dates.append(date)
         prices.append(price)
@@ -138,7 +142,7 @@ def load_csv(path, ticker):
     column ("Adj Close", falling back to "Close"). Blank lines are skipped;
     every other row dropped (too few fields, an unparseable date or price,
     a non-finite or non-positive price, or a date already read) is
-    named in a warning.
+    named in its own `warning:` line on stderr.
     A file that is not UTF-8 text or not well-formed CSV is a DataError.
     """
     try:
@@ -161,12 +165,12 @@ def load_csv(path, ticker):
 
 
 def _sorted_first_per_date(dates, prices, ticker):
-    """The rows in date order, keeping the first of each date and warning for each other."""
+    """The rows in date order, keeping the first of each date and reporting each later one."""
     kept_dates, kept_prices = [], []
     # a stable sort: rows of one date stay in file order
     for date, price in sorted(zip(dates, prices), key=operator.itemgetter(0)):
         if kept_dates and kept_dates[-1] == date:
-            warnings.warn(f"{ticker}: duplicate date {date}, keeping first")
+            _drop(ticker, f"duplicate date {date}, keeping first")
             continue
         kept_dates.append(date)
         kept_prices.append(price)

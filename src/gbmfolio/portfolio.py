@@ -31,9 +31,10 @@ class Weights:
         object.__setattr__(self, "values", values)
         if len(values) == 0:
             raise DataError("weights cannot be empty")
-        if np.any(values < 0):
+        # written as tests that must hold, so that a NaN fails them
+        if not np.all(values >= 0):
             raise DataError("weights must be nonnegative")
-        if abs(values.sum() - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(values.sum() - 1.0) <= WEIGHT_SUM_TOL:
             raise DataError(f"weights sum to {values.sum()}, expected 1")
 
     def __len__(self):
@@ -128,8 +129,8 @@ def optimize_max_sharpe(panel, n_trials, seed, risk_free, block_size=8192):
     for first in range(0, n_trials + 1, block_size):
         count = min(block_size, n_trials + 1 - first)
         block = trial_weights(seed, first, count, n)
-        # the Weights contract, checked once per block
-        if (block < 0).any() or (np.abs(block.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL).any():
+        # the Weights contract, checked once per block; a NaN fails it
+        if not ((block >= 0).all() and (np.abs(block.sum(axis=1) - 1.0) <= WEIGHT_SUM_TOL).all()):
             raise DataError("trial weights are not nonnegative fractions summing to 1")
         ret, risk = trial_stats(block, mu_daily, cov_daily)
         ok = risk > 0

@@ -49,6 +49,8 @@ def asset_stats(series, risk_free):
         raise DataError(f"{series.ticker}: need at least 3 prices for stats")
     mu_daily = float(np.mean(rets))
     sigma_daily = float(np.std(rets, ddof=1))
+    if not (math.isfinite(mu_daily) and math.isfinite(sigma_daily)):
+        raise NumericError(f"{series.ticker}: return or risk is not finite (price ratio overflow)")
     return_annual = mu_daily * TRADING_DAYS_PER_YEAR
     risk_annual = sigma_daily * math.sqrt(TRADING_DAYS_PER_YEAR)
     sharpe = None

@@ -10,6 +10,9 @@ words, which no run nears: 13 assets would need over 2**124 trials.
 """
 
 import numpy as np
+# imported with this module, not lazily by the first draw: a SIGINT that
+# lands in numpy.random's first import is lost there, and the run goes on
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 from .errors import DataError
 
@@ -31,7 +34,7 @@ def uniform_rows(seed, first, count, width, out=None):
         out = np.empty((count, width))
     elif out.shape != (count, width):
         raise DataError(f"out has shape {out.shape}, need {(count, width)}")
-    bitgen = np.random.PCG64DXSM(np.random.SeedSequence(seed))
+    bitgen = PCG64DXSM(SeedSequence(seed))
     bitgen.advance(first * width)
-    np.random.Generator(bitgen).random(out=out)
+    Generator(bitgen).random(out=out)
     return out

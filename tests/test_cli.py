@@ -8,7 +8,6 @@ import signal
 import subprocess
 import sys
 import time
-import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -38,17 +37,17 @@ def run(data_dir, out_dir, *args):
     return main(["--data-dir", str(data_dir), "--out-dir", str(out_dir), *args])
 
 
-def run_child(*argv):
-    """A child interpreter run on argv, with this gbmfolio importable."""
-    env = dict(os.environ, PYTHONPATH=str(Path(gbmfolio.__file__).resolve().parents[1]))
+def run_child(*argv, **env):
+    """A child interpreter run on argv, with this gbmfolio importable and `env` set."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gbmfolio.__file__).resolve().parents[1]), **env)
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
     )
 
 
-def run_process(*args):
+def run_process(*args, **env):
     """The CLI in a child interpreter: (exit code, stderr)."""
-    proc = run_child("-m", "gbmfolio.cli", *args)
+    proc = run_child("-m", "gbmfolio.cli", *args, **env)
     return proc.returncode, proc.stderr
 
 
@@ -234,12 +233,37 @@ class TestSimulate:
         for name, digest in manifest["files"].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
-    def test_insufficient_evaluation_data(self, universe_dir, tmp_path):
-        rc = run(
-            universe_dir, tmp_path, "--evaluation-end", "2019-03-01",
-            "simulate", "--subject", "SYN00",
+    def test_insufficient_evaluation_data(self, universe_dir, tmp_path, capsys):
+        # 2019-01-01..2019-03-01 holds 44 weekdays, fewer than the default 1y horizon
+        for route in ("flag", "config"):
+            argv, suffix = settings_argv(tmp_path, {"evaluation_end": "2019-03-01"}, route)
+            out = tmp_path / route
+            rc = run(universe_dir, out, *argv, "--paths", "10", "simulate", "--subject", "SYN00")
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "data error: SYN00: evaluation_start..evaluation_end (2019-01-01..2019-03-01)"
+                f" holds 44 trading days, fewer than the longest horizon (1y, 247 days){suffix}\n"
+            )
+            assert not out.exists()
+
+    def test_an_overflowing_return_is_a_numeric_error(self, tmp_path):
+        # the price ratios are 1e600 and 1e-600: log returns of inf and -inf
+        data_dir, out_dir = tmp_path / "data", tmp_path / "out"
+        data_dir.mkdir()
+        days = weekday_range(dt.date(2016, 1, 4), dt.date(2019, 12, 30))
+        prices = [1e300 if i % 2 else 1e-300 for i in range(len(days))]
+        (data_dir / "EXT.csv").write_text(
+            "Date,Adj Close\n" + "".join(f"{d},{p}\n" for d, p in zip(days, prices))
         )
-        assert rc == 2
+        for filters in ("", "error::RuntimeWarning"):
+            rc, stderr = run_process(
+                "--data-dir", str(data_dir), "--out-dir", str(out_dir), "stats",
+                PYTHONWARNINGS=filters,
+            )
+            assert (rc, stderr) == (
+                3, "numeric error: EXT: return or risk is not finite (price ratio overflow)\n"
+            ), filters
+            assert not out_dir.exists()
 
     def test_overflowing_forecast_exits_3(self, tmp_path):
         # log-linear from 1e-300 to 1e300 over 2016-2018: the ensemble overflows
@@ -567,14 +591,20 @@ class TestInterrupt:
         assert stderr == "interrupted\n"
         assert (out / "groups_sharpe.csv").exists()  # files already written stay
 
+    def test_numpy_random_is_imported_with_the_cli(self):
+        # a SIGINT that lands in numpy.random's first import is lost there, so
+        # no draw during a run may be the one that imports it
+        proc = run_child("-c", "import sys, gbmfolio.cli; print('numpy.random' in sys.modules)")
+        assert proc.stdout == "True\n"
+
 
 def write_flawed_prices(data_dir):
-    """BAD.csv: 2016-2019 weekdays with a zero price, a NaN price and a repeated date."""
+    """BAD.csv: 2016-2019 weekdays with a zero price, a NaN price twice and a date thrice."""
     days = weekday_range(dt.date(2016, 1, 4), dt.date(2019, 12, 30))
     rows = [f"{d.isoformat()},{100 + i % 7}" for i, d in enumerate(days)]
     rows[2] = "2016-01-06,0"
     rows[3] = "2016-01-07,nan"
-    rows.append("2016-01-11,99")
+    rows += ["2016-01-07,nan", "2016-01-11,99", "2016-01-11,99"]
     data_dir.mkdir()
     (data_dir / "BAD.csv").write_text("Date,Adj Close\n" + "\n".join(rows) + "\n")
 
@@ -582,18 +612,24 @@ def write_flawed_prices(data_dir):
 FLAWED_PRICE_WARNINGS = [
     "warning: BAD: dropping non-positive price on 2016-01-06",
     "warning: BAD: dropping non-finite price on 2016-01-07",
+    "warning: BAD: dropping non-finite price on 2016-01-07",
+    "warning: BAD: duplicate date 2016-01-11, keeping first",
     "warning: BAD: duplicate date 2016-01-11, keeping first",
 ]
 
 
 class TestLoaderWarnings:
     def test_one_stderr_line_per_warning(self, tmp_path):
+        # one line per dropped row, repeats included, whatever the interpreter's
+        # warning filters say (an empty PYTHONWARNINGS sets none)
         write_flawed_prices(tmp_path / "data")
-        rc, stderr = run_process(
-            "--data-dir", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out"), "stats"
-        )
-        assert rc == 0
-        assert stderr.splitlines() == FLAWED_PRICE_WARNINGS
+        for filters in ("", "ignore", "error"):
+            rc, stderr = run_process(
+                "--data-dir", str(tmp_path / "data"), "--out-dir", str(tmp_path / f"out{filters}"),
+                "stats", PYTHONWARNINGS=filters,
+            )
+            assert rc == 0
+            assert stderr.splitlines() == FLAWED_PRICE_WARNINGS, filters
 
     def test_short_and_unparseable_rows_are_named(self, tmp_path):
         # line 2 is blank, and a blank line is not a row
@@ -612,12 +648,17 @@ class TestLoaderWarnings:
             "warning: BAD: dropping line 5: unparseable date or price",
         ]
 
-    def test_main_leaves_the_warning_state_as_it_found_it(self, tmp_path, capsys):
+    def test_main_leaves_the_numpy_error_state_as_it_found_it(self, tmp_path, capsys):
         write_flawed_prices(tmp_path / "data")
-        before = warnings.showwarning, list(warnings.filters)
-        assert run(tmp_path / "data", tmp_path / "out", "stats") == 0
-        assert (warnings.showwarning, warnings.filters) == before
-        assert capsys.readouterr().err.splitlines() == FLAWED_PRICE_WARNINGS
+        with np.errstate(over="raise", under="print", divide="warn", invalid="ignore"):
+            before = np.geterr()
+            assert run(tmp_path / "data", tmp_path / "out", "stats") == 0
+            assert np.geterr() == before
+            assert run(tmp_path / "nowhere", tmp_path / "out", "stats") == 2
+            assert np.geterr() == before
+        assert capsys.readouterr().err.splitlines() == FLAWED_PRICE_WARNINGS + [
+            f"data error: no CSV files in {tmp_path / 'nowhere'}"
+        ]
 
 
 # one text per setting, none of them its default
@@ -971,15 +1012,34 @@ class TestPipeline:
         "command", [("group", "--metric", "sharpe"), ("simulate", "--subject", "risk-1")]
     )
     def test_a_joined_panel_of_one_date_is_data_error(self, tmp_path, capsys, command):
+        flags = ("--group-count", "1", "--group-size", "2", "--paths", "10", "--trials", "10")
+        for shared in (1, 0):
+            data = tmp_path / f"data{shared}"
+            make_universe(data, n_assets=2, seed=5)
+            for k, path in enumerate(sorted(data.glob("*.csv"))):
+                header, *rows = path.read_text().splitlines(keepends=True)
+                # the two tickers trade on alternate days and share `shared` first days
+                path.write_text(header + "".join(rows[:shared] + rows[shared + k :: 2]))
+            assert run(data, tmp_path / f"out{shared}", *flags, *command) == 2
+            assert capsys.readouterr().err == (
+                "data error: inner join of 2 tickers: calibration_start..evaluation_end"
+                " (2016-01-01..2019-12-31) holds fewer than 2 trading days\n"
+            )
+
+    def test_a_joined_panel_without_calibration_days_names_that_window(self, tmp_path, capsys):
         data = tmp_path / "data"
         make_universe(data, n_assets=2, seed=5)
         for k, path in enumerate(sorted(data.glob("*.csv"))):
             header, *rows = path.read_text().splitlines(keepends=True)
-            # the two tickers trade on alternate days and share only the first
-            path.write_text(header + rows[0] + "".join(rows[1 + k :: 2]))
-        flags = ("--group-count", "1", "--group-size", "2", "--paths", "10", "--trials", "10")
-        assert run(data, tmp_path / "out", *flags, *command) == 2
-        assert capsys.readouterr().err.startswith("data error: ")
+            # alternate days up to 2018, then every day of 2019 shared
+            rows = [r for i, r in enumerate(rows) if r.startswith("2019") or i % 2 == k]
+            path.write_text(header + "".join(rows))
+        flags = ("--group-count", "1", "--group-size", "2", "--trials", "10")
+        assert run(data, tmp_path / "out", *flags, "group", "--metric", "sharpe") == 2
+        assert capsys.readouterr().err == (
+            "data error: inner join of 2 tickers: calibration_start..calibration_end"
+            " (2016-01-01..2018-12-31) holds fewer than 2 trading days\n"
+        )
 
     def test_single_ticker_commands_read_only_their_file(self, universe_dir, tmp_path):
         data = tmp_path / "data"

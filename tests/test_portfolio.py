@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gbmfolio import portfolio
 from gbmfolio.errors import DataError, NumericError
 from gbmfolio.market_data import PriceSeries, align_panel
 from gbmfolio.portfolio import (
@@ -78,6 +79,23 @@ class TestValueSeries:
         panel = panel_from_columns({"A": [10, 12]})
         with pytest.raises(DataError):
             portfolio_value_series(panel, Weights([0.5, 0.5]), 100.0)
+
+
+class TestWeightsContract:
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [np.nan], [0.5, 0.5, np.nan]])
+    def test_nan_is_rejected(self, values):
+        with pytest.raises(DataError):
+            Weights(values)
+
+    def test_optimizer_rejects_a_nan_trial(self, monkeypatch):
+        def with_nan(*args):
+            block = trial_weights(*args)
+            block[-1, 0] = np.nan
+            return block
+
+        monkeypatch.setattr(portfolio, "trial_weights", with_nan)
+        with pytest.raises(DataError, match="trial weights are not"):
+            optimize_max_sharpe(dominant_pair_panel(), 10, seed=1, risk_free=RISK_FREE)
 
 
 class TestRandomWeights:
