@@ -195,13 +195,11 @@ class Run:
         One load_csv per file; the rest of the history is not kept.
         """
         data_dir = Path(self.config.data_dir)
-        return {
-            t: self._cut(load_csv(data_dir / f"{t}.csv", t), "calibration_start", "evaluation_end")
-            for t in self.tickers
-        }
+        loaded = (load_csv(data_dir / f"{t}.csv", t) for t in self.tickers)
+        return {s.ticker: self._cut(s, "calibration_start", "evaluation_end", 2) for s in loaded}
 
-    def _too_few_days(self, first, last, what=None):
-        """The error for a window `first`..`last` that leaves `what` fewer than 2 days.
+    def _too_few_days(self, first, last, days, what=None):
+        """The error for a window `first`..`last` that leaves `what` fewer than `days` days.
 
         `what` is a subject, or by default the tickers' inner join. Too few
         days there is the settings' fault, so the error names them.
@@ -209,15 +207,22 @@ class Run:
         what = what or f"inner join of {len(self.tickers)} tickers"
         start, end = getattr(self.config, first), getattr(self.config, last)
         return SettingsError(
-            f"{what}: {first}..{last} ({start}..{end}) holds fewer than 2 trading days"
+            f"{what}: {first}..{last} ({start}..{end}) holds fewer than {days} trading days"
         )
 
-    def _cut(self, series, first, last):
-        """`series` over the dates of the settings `first`..`last`."""
+    def _cut(self, series, first, last, days):
+        """`series` over the dates of the settings `first`..`last`, which must hold `days` days.
+
+        A window is 2 days at least; a calibration needs 3, for a sample std
+        of 2 log returns.
+        """
         try:
-            return slice_period(series, getattr(self.config, first), getattr(self.config, last))
+            cut = slice_period(series, getattr(self.config, first), getattr(self.config, last))
         except DataError:
-            raise self._too_few_days(first, last, series.ticker) from None
+            cut = None
+        if cut is None or len(cut) < days:
+            raise self._too_few_days(first, last, days, series.ticker)
+        return cut
 
     @cached_property
     def panel(self):
@@ -231,16 +236,19 @@ class Run:
         except DataError:  # no date common to every ticker
             panel = None
         if panel is None or len(panel.dates) < 2:
-            raise self._too_few_days("calibration_start", "evaluation_end")
+            raise self._too_few_days("calibration_start", "evaluation_end", 2)
         return panel
 
     @cached_property
     def calibration_panel(self):
         c, panel = self.config, self.panel  # the join's own error passes through
         try:
-            return slice_panel(panel, c.calibration_start, c.calibration_end)
+            calibration = slice_panel(panel, c.calibration_start, c.calibration_end)
         except DataError:
-            raise self._too_few_days("calibration_start", "calibration_end") from None
+            calibration = None
+        if calibration is None or len(calibration.dates) < 3:
+            raise self._too_few_days("calibration_start", "calibration_end", 3)
+        return calibration
 
     def subject_series(self, subject):
         """A subject's prices over the whole window: a ticker's own or a group's value."""
@@ -256,7 +264,8 @@ class Run:
         """A subject's AssetStats over its calibration window, once per run."""
         stats = self._stats.get(subject)
         if stats is None:
-            calib = self._cut(self.subject_series(subject), "calibration_start", "calibration_end")
+            series = self.subject_series(subject)
+            calib = self._cut(series, "calibration_start", "calibration_end", 3)
             stats = self._stats[subject] = asset_stats(calib, self.config.risk_free)
         return stats
 
@@ -300,7 +309,7 @@ class Run:
         series = self.subject_series(subject)
         day0 = bisect.bisect_right(series.dates, c.calibration_end) - 1  # last calibration day
         s0 = float(series.prices[day0])
-        evaluation = self._cut(series, "evaluation_start", "evaluation_end")
+        evaluation = self._cut(series, "evaluation_start", "evaluation_end", 2)
         longest = max(c.horizons, key=lambda h: h.days)
         max_h = longest.days
         if len(evaluation) < max_h:
@@ -318,7 +327,7 @@ class Run:
         paths = simulate_ensemble(
             params, c.n_paths, max_h, _subject_seed(c, subject), out=self.draw_arrays
         )
-        report = evaluate_ensemble(paths, actual, c.horizons, denominator=c.mape_denominator)
+        report = evaluate_ensemble(paths, actual, c.horizons)
         band = envelope(paths)
         return report, band, actual
 

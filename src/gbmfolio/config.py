@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError, SettingsError
-from .evaluation import DEFAULT_HORIZONS, MAPE_DENOMINATORS, HorizonSpec
+from .evaluation import DEFAULT_HORIZONS, HorizonSpec
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,6 @@ class RunConfig:
     group_count: int = 6
     group_size: int = 13
     horizons: tuple = DEFAULT_HORIZONS
-    mape_denominator: str = "forecast"
 
     def __post_init__(self):
         for key in ("data_dir", "out_dir"):
@@ -47,8 +46,6 @@ class RunConfig:
         for label in labels:
             if labels.count(label) > 1:
                 raise SettingsError(f"horizon label {label!r} is given more than once")
-        if self.mape_denominator not in MAPE_DENOMINATORS:
-            raise SettingsError(f"unknown mape_denominator {self.mape_denominator!r}")
 
 
 def parse_horizons(text):
@@ -81,7 +78,6 @@ SETTINGS = {
     "group_count": int,
     "group_size": int,
     "horizons": parse_horizons,
-    "mape_denominator": str,
 }
 
 
@@ -103,7 +99,7 @@ def load_config(path):
                     raise DataError(f"{path}:{lineno}: {key} is set more than once")
                 try:
                     values[key] = SETTINGS[key](value.strip())
-                except ValueError as exc:
+                except (ValueError, DataError) as exc:
                     raise DataError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc

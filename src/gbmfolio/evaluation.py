@@ -1,9 +1,8 @@
 """Forecast scoring: Pearson correlation and MAPE over standard horizons.
 
-MAPE here divides each absolute error by the forecast value (not the
-actual); set denominator="actual" for the conventional form. MAPE values
-map onto four precision bands: high (<= 10%), good (<= 20%), reasonable
-(<= 50%) and imprecise above that.
+MAPE divides each absolute error by the forecast value, as the paper
+does. MAPE values map onto four precision bands: high (<= 10%), good
+(<= 20%), reasonable (<= 50%) and imprecise above that.
 
 Ensembles are scored per path over each horizon's days 1..h (day 0 is
 the known starting price and is excluded), then averaged across paths.
@@ -12,11 +11,16 @@ over the time-major rows paths.T.
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericError
+
+
+# a horizon label is written unquoted into CSVs
+_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True)
@@ -25,6 +29,11 @@ class HorizonSpec:
     days: int
 
     def __post_init__(self):
+        if not _LABEL.fullmatch(self.label):
+            raise DataError(
+                f"bad horizon label {self.label!r}: a label is letters, digits and . _ -,"
+                " starting with a letter or a digit"
+            )
         if self.days < 1:
             raise DataError("horizon days must be >= 1")
 
@@ -36,8 +45,6 @@ DEFAULT_HORIZONS = (
     HorizonSpec("6m", 126),
     HorizonSpec("1y", 247),
 )
-
-MAPE_DENOMINATORS = ("forecast", "actual")
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,7 @@ def classify_mape(value):
     return "imprecise"
 
 
-def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS, denominator="forecast"):
+def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS):
     """Score an ensemble against realized prices: one HorizonResult per horizon, in order.
 
     actual must cover every horizon plus the starting day (index 0
@@ -81,8 +88,6 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS, denominator="f
     A prefix of rows sums in the same order as a fresh (h, n_paths) array,
     so the results are those of scoring each horizon on its own.
     """
-    if denominator not in MAPE_DENOMINATORS:
-        raise DataError(f"unknown denominator {denominator!r}")
     steps = pathset.paths.T
     max_h = max(h.days for h in horizons)
     if len(actual) < max_h + 1:
@@ -93,15 +98,14 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS, denominator="f
         raise DataError("no paths to evaluate")
 
     prices = actual.prices
-    a_all = prices[1 : max_h + 1, None]
     f_all = steps[1 : max_h + 1]
     # x.all() is False iff some x == 0, without a boolean temporary
-    if not f_all.all() or (denominator == "actual" and not a_all.all()):
-        raise NumericError("undefined MAPE: zero denominator value")
+    if not f_all.all():
+        raise NumericError("undefined MAPE: zero forecast value")
 
-    buf = np.subtract(a_all, f_all)
+    buf = np.subtract(prices[1 : max_h + 1, None], f_all)
     np.abs(buf, out=buf)
-    np.divide(buf, f_all if denominator == "forecast" else a_all, out=buf)
+    np.divide(buf, f_all, out=buf)
     mapes = []
     for spec in horizons:
         value = float((buf[: spec.days].sum(axis=0) / spec.days).mean())

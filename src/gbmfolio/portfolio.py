@@ -159,7 +159,7 @@ def _metric_value(stats, metric):
     raise DataError(f"unknown metric {metric!r}")
 
 
-def rank_and_group(stats, metric, group_count=6, group_size=13):
+def rank_and_group(stats, metric, group_count, group_size):
     """Sort per-asset stats descending by a metric and chunk their tickers.
 
     Returns group_count tuples of group_size tickers, best metric values

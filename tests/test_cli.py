@@ -20,7 +20,6 @@ import gbmfolio
 from gbmfolio import cli
 from gbmfolio.cli import main
 from gbmfolio.config import SETTINGS, RunConfig
-from gbmfolio.errors import DataError
 from gbmfolio.market_data import load_csv, slice_period
 from gbmfolio.stats import asset_stats
 from gbmfolio.synthetic import make_universe, weekday_range
@@ -326,6 +325,11 @@ class TestUsageAndConfig:
             (["--risk-free", "inf"], 2, "data error: risk_free must be finite"),
             (["--horizons", "1w:5,1w:10"], 2, "data error: horizon label '1w' is given more"),
             (["--horizons", "1w:5, 1w :10"], 2, "data error: horizon label '1w' is given more"),
+            # a horizon label is written unquoted into CSVs
+            (["--horizons", '"x:5,1m:21'], 1, "error: argument --horizons: bad horizon label"),
+            (["--horizons", "a\rb:5"], 1, "error: argument --horizons: bad horizon label"),
+            # the MAPE's denominator is the forecast, and no longer a setting
+            (["--mape-denominator", "forecast"], 1, "error: argument command: invalid choice"),
         ],
     )
     def test_bad_flag_value_exits_without_traceback(
@@ -388,16 +392,28 @@ class TestUsageAndConfig:
         assert rc == 2
         assert "risk_free must be finite" in stderr and str(cfg) in stderr.splitlines()[-1]
 
-    def test_unknown_mape_denominator_rejected(self, universe_dir, tmp_path):
-        with pytest.raises(DataError, match="mape_denominator"):
-            RunConfig(mape_denominator="bogus")
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("a:0", "horizon days must be >= 1"),
+            ("a", "bad horizon 'a', expected label:days"),
+            (
+                '1w:5,"x:10',
+                "bad horizon label '\"x': a label is letters, digits and . _ -,"
+                " starting with a letter or a digit",
+            ),
+        ],
+        ids=["zero-days", "no-days", "bad-label"],
+    )
+    def test_a_bad_horizons_line_names_the_file_and_line(
+        self, universe_dir, tmp_path, capsys, text, error
+    ):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("mape_denominator = bogus\n")
-        rc = main(
-            ["--config", str(cfg), "--data-dir", str(universe_dir),
-             "--out-dir", str(tmp_path / "out"), "--paths", "10", "simulate", "--subject", "SYN00"]
-        )
-        assert rc == 2
+        cfg.write_text(f"seed = 1\nhorizons = {text}\n")
+        out = tmp_path / "out"
+        assert run(universe_dir, out, "--config", str(cfg), "stats", "SYN00") == 2
+        assert capsys.readouterr().err == f"data error: {cfg}:2: bad value for horizons: {error}\n"
+        assert not out.exists()
 
     def test_bad_config_value_is_data_error(self, universe_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -480,16 +496,25 @@ class TestUsageAndConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "settings, named, command",
+        "settings, named, days, command",
         [
             (
                 {"calibration_start": "2018-12-31", "calibration_end": "2018-12-31"},
                 ("calibration_start", "calibration_end"),
+                3,
+                ["stats", "SYN00"],
+            ),
+            (
+                # two prices are one log return, too few for a sample std
+                {"calibration_start": "2018-12-27", "calibration_end": "2018-12-28"},
+                ("calibration_start", "calibration_end"),
+                3,
                 ["stats", "SYN00"],
             ),
             (
                 {"evaluation_start": "2019-12-31", "evaluation_end": "2019-12-31"},
                 ("evaluation_start", "evaluation_end"),
+                2,
                 ["--paths", "10", "simulate", "--subject", "SYN00"],
             ),
             (
@@ -498,14 +523,15 @@ class TestUsageAndConfig:
                     "evaluation_start": "2020-02-03", "evaluation_end": "2020-03-31",
                 },
                 ("calibration_start", "evaluation_end"),
+                2,
                 ["stats", "SYN00"],
             ),
         ],
-        ids=["calibration", "evaluation", "whole-run"],
+        ids=["calibration", "calibration-2-days", "evaluation", "whole-run"],
     )
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_a_window_too_short_for_a_ticker_names_its_settings(
-        self, universe_dir, tmp_path, capsys, settings, named, command, route
+        self, universe_dir, tmp_path, capsys, settings, named, days, command, route
     ):
         first, last = named
         argv, suffix = settings_argv(tmp_path, settings, route)
@@ -513,7 +539,7 @@ class TestUsageAndConfig:
         assert run(universe_dir, out, *argv, *command) == 2
         assert capsys.readouterr().err == (
             f"data error: SYN00: {first}..{last} ({settings[first]}..{settings[last]})"
-            f" holds fewer than 2 trading days{suffix}\n"
+            f" holds fewer than {days} trading days{suffix}\n"
         )
         assert not out.exists()
 
@@ -676,7 +702,6 @@ SETTING_TEXTS = {
     "group_count": "2",
     "group_size": "3",
     "horizons": "1w:5,3m:63",
-    "mape_denominator": "actual",
 }
 
 
@@ -1038,7 +1063,7 @@ class TestPipeline:
         assert run(data, tmp_path / "out", *flags, "group", "--metric", "sharpe") == 2
         assert capsys.readouterr().err == (
             "data error: inner join of 2 tickers: calibration_start..calibration_end"
-            " (2016-01-01..2018-12-31) holds fewer than 2 trading days\n"
+            " (2016-01-01..2018-12-31) holds fewer than 3 trading days\n"
         )
 
     def test_single_ticker_commands_read_only_their_file(self, universe_dir, tmp_path):

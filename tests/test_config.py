@@ -16,7 +16,9 @@ class TestParseHorizons:
     def test_label_is_stripped(self):
         assert parse_horizons(" 1w :5") == (HorizonSpec("1w", 5),)
 
-    @pytest.mark.parametrize("text", [":5", " :5", "1w:5,:10", "1w", "1w:", "1w:x", "1w:0", ""])
+    @pytest.mark.parametrize(
+        "text", [":5", " :5", "1w:5,:10", "1w", "1w:", "1w:x", "1w:0", "", "a b:5", "-1w:5"]
+    )
     def test_rejected(self, text):
         with pytest.raises(DataError):
             parse_horizons(text)

@@ -17,7 +17,7 @@ from gbmfolio.gbm import GbmParams, PathSet, simulate_ensemble
 from conftest import series
 
 
-def score_one_path(actual, forecast, denominator="forecast"):
+def score_one_path(actual, forecast):
     """evaluate_ensemble's one horizon over days 1..h of a one-path ensemble.
 
     Day 0, the shared starting price, is not scored.
@@ -25,7 +25,7 @@ def score_one_path(actual, forecast, denominator="forecast"):
     actual = series([1.0, *actual])
     pathset = PathSet([[1.0, *forecast]])
     horizon = (HorizonSpec("h", len(forecast)),)
-    return evaluate_ensemble(pathset, actual, horizon, denominator)[0]
+    return evaluate_ensemble(pathset, actual, horizon)[0]
 
 
 class TestPearson:
@@ -79,9 +79,8 @@ class TestMape:
         assert score_one_path([90.0, 120.0], [100.0, 100.0]).mape == pytest.approx(0.15)
 
     def test_forecast_denominator_is_default(self):
-        # |100 - 80| / 80 = 0.25 vs conventional |100 - 80| / 100 = 0.20
+        # |100 - 80| / 80 = 0.25, where dividing by the actual would give 0.20
         assert score_one_path([100.0], [80.0]).mape == pytest.approx(0.25)
-        assert score_one_path([100.0], [80.0], "actual").mape == pytest.approx(0.20)
 
     def test_zero_forecast_errors(self):
         with pytest.raises(NumericError, match="undefined MAPE"):
@@ -199,11 +198,6 @@ class TestEvaluateEnsemble:
         for a, b in zip(short, full[:2]):
             assert a == b
 
-    def test_unknown_denominator_rejected(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 2, 10, 3)
-        with pytest.raises(DataError, match="denominator"):
-            evaluate_ensemble(ps, series(ps.paths[0]), self.horizons, denominator="bogus")
-
     def test_too_short_actual(self):
         ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 5, 10, 3)
         actual = series(100 * 1.002 ** np.arange(8))
@@ -249,7 +243,7 @@ class TestEvaluateEnsemble:
         assert peak <= 1.5 * ps.paths.nbytes
 
 
-def path_major_reference(pathset, actual, horizons, denominator):
+def path_major_reference(pathset, actual, horizons):
     """The evaluator of version 0.3.0: every horizon scored path-major, on
     fresh (n_paths, h) arrays. It sums in another order, so it is an oracle
     to within rounding."""
@@ -259,8 +253,7 @@ def path_major_reference(pathset, actual, horizons, denominator):
         h = spec.days
         a = actual.prices[1 : h + 1]
         f = paths[:, 1 : h + 1]
-        base = f if denominator == "forecast" else a
-        mape_mean = float(np.mean(np.abs(a - f) / base, axis=1).mean())
+        mape_mean = float(np.mean(np.abs(a - f) / f, axis=1).mean())
         corr_mean = None
         if h >= 2:
             da = a - a.mean()
@@ -276,7 +269,7 @@ def path_major_reference(pathset, actual, horizons, denominator):
     return tuple(results)
 
 
-def time_major_reference(pathset, actual, horizons, denominator):
+def time_major_reference(pathset, actual, horizons):
     """Every horizon scored on fresh (h, n_paths) arrays of the time-major
     rows paths.T, in the evaluator's sum order but without its buffer."""
     steps = pathset.paths.T
@@ -285,8 +278,7 @@ def time_major_reference(pathset, actual, horizons, denominator):
         h = spec.days
         a = actual.prices[1 : h + 1]
         f = steps[1 : h + 1]
-        base = f if denominator == "forecast" else a[:, None]
-        mape_mean = float((np.sum(np.abs(a[:, None] - f) / base, axis=0) / h).mean())
+        mape_mean = float((np.sum(np.abs(a[:, None] - f) / f, axis=0) / h).mean())
         corr_mean = None
         if h >= 2:
             da = a - a.mean()
@@ -324,23 +316,20 @@ def scoring_cases(draw):
     return PathSet(np.ascontiguousarray(paths.T).T), series(actual), horizons
 
 
-SCORING = dict(case=scoring_cases(), denominator=st.sampled_from(["forecast", "actual"]))
+@settings(max_examples=300, deadline=None)
+@given(scoring_cases())
+def test_one_buffer_scoring_equals_per_horizon_reference(case):
+    pathset, actual, horizons = case
+    got = evaluate_ensemble(pathset, actual, horizons)
+    assert got == time_major_reference(pathset, actual, horizons)
 
 
 @settings(max_examples=300, deadline=None)
-@given(**SCORING)
-def test_one_buffer_scoring_equals_per_horizon_reference(case, denominator):
+@given(scoring_cases())
+def test_scoring_matches_the_path_major_oracle(case):
     pathset, actual, horizons = case
-    got = evaluate_ensemble(pathset, actual, horizons, denominator)
-    assert got == time_major_reference(pathset, actual, horizons, denominator)
-
-
-@settings(max_examples=300, deadline=None)
-@given(**SCORING)
-def test_scoring_matches_the_path_major_oracle(case, denominator):
-    pathset, actual, horizons = case
-    got = evaluate_ensemble(pathset, actual, horizons, denominator)
-    for r, want in zip(got, path_major_reference(pathset, actual, horizons, denominator)):
+    got = evaluate_ensemble(pathset, actual, horizons)
+    for r, want in zip(got, path_major_reference(pathset, actual, horizons)):
         assert (r.horizon, r.band) == (want.horizon, want.band)
         assert r.mape == pytest.approx(want.mape, rel=1e-13, abs=0)
         if want.mean_correlation is None:
