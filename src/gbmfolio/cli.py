@@ -196,33 +196,24 @@ class Run:
         """
         data_dir = Path(self.config.data_dir)
         loaded = (load_csv(data_dir / f"{t}.csv", t) for t in self.tickers)
-        return {s.ticker: self._cut(s, "calibration_start", "evaluation_end", 2) for s in loaded}
+        whole = ("calibration_start", "evaluation_end", 2)
+        return {s.ticker: slice_period(s, *self._window(s.dates, *whole, s.ticker)) for s in loaded}
 
-    def _too_few_days(self, first, last, days, what=None):
-        """The error for a window `first`..`last` that leaves `what` fewer than `days` days.
+    def _window(self, dates, first, last, days, what):
+        """The settings `first`..`last` as (start, end), once `dates` holds `days` days in them.
 
-        `what` is a subject, or by default the tickers' inner join. Too few
-        days there is the settings' fault, so the error names them.
+        `what` is a subject, or None for the tickers' inner join. Too few
+        days there is the settings' fault, so the error names them. A window
+        is 2 days at least; a calibration needs 3, for a sample std of 2 log
+        returns.
         """
-        what = what or f"inner join of {len(self.tickers)} tickers"
         start, end = getattr(self.config, first), getattr(self.config, last)
-        return SettingsError(
-            f"{what}: {first}..{last} ({start}..{end}) holds fewer than {days} trading days"
-        )
-
-    def _cut(self, series, first, last, days):
-        """`series` over the dates of the settings `first`..`last`, which must hold `days` days.
-
-        A window is 2 days at least; a calibration needs 3, for a sample std
-        of 2 log returns.
-        """
-        try:
-            cut = slice_period(series, getattr(self.config, first), getattr(self.config, last))
-        except DataError:
-            cut = None
-        if cut is None or len(cut) < days:
-            raise self._too_few_days(first, last, days, series.ticker)
-        return cut
+        if bisect.bisect_right(dates, end) - bisect.bisect_left(dates, start) < days:
+            what = what or f"inner join of {len(self.tickers)} tickers"
+            raise SettingsError(
+                f"{what}: {first}..{last} ({start}..{end}) holds fewer than {days} trading days"
+            )
+        return start, end
 
     @cached_property
     def panel(self):
@@ -230,25 +221,15 @@ class Run:
 
         Each series is already cut to that window, and the join cannot widen it.
         """
-        series = [self.series[t] for t in self.tickers]  # a file's own errors pass through
-        try:
-            panel = align_panel(series)
-        except DataError:  # no date common to every ticker
-            panel = None
-        if panel is None or len(panel.dates) < 2:
-            raise self._too_few_days("calibration_start", "evaluation_end", 2)
+        panel = align_panel([self.series[t] for t in self.tickers])
+        self._window(panel.dates, "calibration_start", "evaluation_end", 2, None)
         return panel
 
     @cached_property
     def calibration_panel(self):
-        c, panel = self.config, self.panel  # the join's own error passes through
-        try:
-            calibration = slice_panel(panel, c.calibration_start, c.calibration_end)
-        except DataError:
-            calibration = None
-        if calibration is None or len(calibration.dates) < 3:
-            raise self._too_few_days("calibration_start", "calibration_end", 3)
-        return calibration
+        panel = self.panel
+        window = self._window(panel.dates, "calibration_start", "calibration_end", 3, None)
+        return slice_panel(panel, *window)
 
     def subject_series(self, subject):
         """A subject's prices over the whole window: a ticker's own or a group's value."""
@@ -257,7 +238,10 @@ class Run:
             return self.series[subject]
         metric, index = ref
         if not 0 <= index < self.config.group_count:
-            raise DataError(f"group index out of range in {subject!r}")
+            raise SettingsError(
+                f"{subject}: group_count is {self.config.group_count}, so there is no group"
+                f" {index + 1}"
+            )
         return self.groups(metric)[index].value_series
 
     def calibration_stats(self, subject):
@@ -265,7 +249,8 @@ class Run:
         stats = self._stats.get(subject)
         if stats is None:
             series = self.subject_series(subject)
-            calib = self._cut(series, "calibration_start", "calibration_end", 3)
+            window = self._window(series.dates, "calibration_start", "calibration_end", 3, subject)
+            calib = slice_period(series, *window)
             stats = self._stats[subject] = asset_stats(calib, self.config.risk_free)
         return stats
 
@@ -309,7 +294,8 @@ class Run:
         series = self.subject_series(subject)
         day0 = bisect.bisect_right(series.dates, c.calibration_end) - 1  # last calibration day
         s0 = float(series.prices[day0])
-        evaluation = self._cut(series, "evaluation_start", "evaluation_end", 2)
+        window = self._window(series.dates, "evaluation_start", "evaluation_end", 2, subject)
+        evaluation = slice_period(series, *window)
         longest = max(c.horizons, key=lambda h: h.days)
         max_h = longest.days
         if len(evaluation) < max_h:
@@ -471,7 +457,7 @@ class _Once(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         if getattr(namespace, self.dest) is not None:
-            parser.error(f"argument {option_string}: given more than once")
+            raise argparse.ArgumentError(self, "given more than once")
         setattr(namespace, self.dest, values)
 
 
@@ -499,15 +485,22 @@ _HELP = {
 }
 
 
-def build_parser():
-    parser = _Parser(prog="gbmfolio", description=__doc__)
+def _global_options():
+    """A parser of the options given before the subcommand: --config and one per setting."""
+    parser = _Parser(prog="gbmfolio", add_help=False, exit_on_error=False)
     parser.add_argument("--config", action=_Once, help="flat key=value config file")
     for key, parse in SETTINGS.items():
         flag = _FLAGS.get(key, "--" + key.replace("_", "-"))
         parser.add_argument(
             flag, dest=key, action=_Once, type=_flag_value(parse), help=_HELP.get(key)
         )
+    return parser
 
+
+def build_parser():
+    parser = _Parser(
+        prog="gbmfolio", description=__doc__, parents=[_global_options()], exit_on_error=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     p_stats = sub.add_parser("stats", help="per-asset return/risk/Sharpe table")
     p_stats.add_argument(
@@ -531,9 +524,26 @@ def _resolve_config(args):
     return RunConfig(**values)
 
 
+def _unknown_option(argv):
+    """The first option before the subcommand that is not a global option, or None.
+
+    argparse sets such an option aside and takes the value after it for the
+    subcommand, so its error would name the value.
+    """
+    try:
+        _, rest = _global_options().parse_known_args(argv)
+    except argparse.ArgumentError:
+        return None
+    return rest[0] if rest and rest[0].startswith("-") else None
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        unknown = exc.argument_name == "command" and _unknown_option(argv)
+        parser.error(f"unrecognized arguments: {unknown}" if unknown else str(exc))
     if args.command == "stats" and len(set(args.tickers)) < len(args.tickers):
         parser.error("stats: a ticker is named more than once")
     try:

@@ -2,7 +2,7 @@
 
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DataError, SettingsError
 from .evaluation import DEFAULT_HORIZONS, HorizonSpec
@@ -63,30 +63,19 @@ def parse_horizons(text):
     return tuple(specs)
 
 
+# the parser of a setting's text, by the type of its RunConfig field
+_PARSERS = {str: str, dt.date: dt.date.fromisoformat, float: float, int: int, tuple: parse_horizons}
 # every run setting, by config key, with the parser of its text; the CLI makes one flag per key
-SETTINGS = {
-    "data_dir": str,
-    "out_dir": str,
-    "calibration_start": dt.date.fromisoformat,
-    "calibration_end": dt.date.fromisoformat,
-    "evaluation_start": dt.date.fromisoformat,
-    "evaluation_end": dt.date.fromisoformat,
-    "risk_free": float,
-    "n_paths": int,
-    "n_trials": int,
-    "seed": int,
-    "group_count": int,
-    "group_size": int,
-    "horizons": parse_horizons,
-}
+SETTINGS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def load_config(path):
     """A flat "key = value" file's settings, as RunConfig keyword arguments
-    (checked by RunConfig with the flags); blank lines and # comments ignored."""
+    (checked by RunConfig with the flags); blank lines, # comments and a
+    leading UTF-8 byte-order mark ignored."""
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:

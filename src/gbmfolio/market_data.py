@@ -143,10 +143,11 @@ def load_csv(path, ticker):
     every other row dropped (too few fields, an unparseable date or price,
     a non-finite or non-positive price, or a date already read) is
     named in its own `warning:` line on stderr.
-    A file that is not UTF-8 text or not well-formed CSV is a DataError.
+    A UTF-8 byte-order mark, as spreadsheet exports write, is skipped; a
+    file that is not UTF-8 text or not well-formed CSV is a DataError.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open price file {path}: {exc}") from exc
     with fh:
@@ -178,14 +179,12 @@ def _sorted_first_per_date(dates, prices, ticker):
 
 
 def align_panel(series_list):
-    """Inner-join a list of PriceSeries onto their common dates."""
+    """Inner-join a list of PriceSeries onto their common dates, which may be none."""
     if not series_list:
         raise DataError("align_panel needs at least one series")
     dates = series_list[0].dates
     if any(s.dates != dates for s in series_list[1:]):
         common = set(dates).intersection(*(s.dates for s in series_list[1:]))
-        if not common:
-            raise DataError("no common dates across series")
         dates = tuple(sorted(common))
     matrix = np.empty((len(dates), len(series_list)))
     for j, s in enumerate(series_list):

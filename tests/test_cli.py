@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import datetime as dt
+import io
 import json
 import os
 import platform
@@ -329,7 +331,9 @@ class TestUsageAndConfig:
             (["--horizons", '"x:5,1m:21'], 1, "error: argument --horizons: bad horizon label"),
             (["--horizons", "a\rb:5"], 1, "error: argument --horizons: bad horizon label"),
             # the MAPE's denominator is the forecast, and no longer a setting
-            (["--mape-denominator", "forecast"], 1, "error: argument command: invalid choice"),
+            (["--mape-denominator", "forecast"], 1, "error: unrecognized arguments: --mape-denom"),
+            # an unknown option before the subcommand is named, not its value
+            (["--sed", "5"], 1, "error: unrecognized arguments: --sed"),
         ],
     )
     def test_bad_flag_value_exits_without_traceback(
@@ -540,6 +544,19 @@ class TestUsageAndConfig:
         assert capsys.readouterr().err == (
             f"data error: SYN00: {first}..{last} ({settings[first]}..{settings[last]})"
             f" holds fewer than {days} trading days{suffix}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_a_group_beyond_group_count_names_the_setting(
+        self, universe_dir, tmp_path, capsys, route
+    ):
+        argv, suffix = settings_argv(tmp_path, {"group_count": "3"}, route)
+        out = tmp_path / "out"
+        rc = run(universe_dir, out, *argv, "--group-size", "2", "simulate", "--subject", "sharpe-4")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: sharpe-4: group_count is 3, so there is no group 4{suffix}\n"
         )
         assert not out.exists()
 
@@ -866,6 +883,54 @@ def test_any_subject_exits_cleanly_inside_out_dir(subject_sandbox, subject):
         assert not {p for p in added if p != out and out not in p.parents}
     finally:
         shutil.rmtree(out, ignore_errors=True)
+
+
+@pytest.fixture(scope="module")
+def window_universe(tmp_path_factory):
+    """Six tickers priced on the weekdays of 2016-01-04..2019-12-30."""
+    data_dir = tmp_path_factory.mktemp("windows")
+    make_universe(data_dir, n_assets=6, seed=8)
+    return data_dir
+
+
+# calibration_start from a little before the universe to past its end, then the
+# gaps to calibration_end, evaluation_start and evaluation_end: short windows,
+# windows off the data and windows that touch or overlap are all drawn
+WINDOW_START = st.integers(-30, 1500).map(lambda k: dt.date(2016, 1, 4) + dt.timedelta(days=k))
+WINDOW_GAPS = st.lists(st.integers(0, 7) | st.integers(0, 500), min_size=3, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    start=WINDOW_START,
+    gaps=WINDOW_GAPS,
+    command=st.sampled_from(
+        [("stats", "SYN00"), ("group", "--metric", "sharpe"), ("simulate", "--subject", "risk-1")]
+    ),
+)
+def test_any_window_is_a_clean_run_or_one_data_error(
+    window_universe, tmp_path_factory, start, gaps, command
+):
+    dates = [start]
+    for gap in gaps:
+        dates.append(dates[-1] + dt.timedelta(days=gap))
+    keys = ("calibration-start", "calibration-end", "evaluation-start", "evaluation-end")
+    out = tmp_path_factory.mktemp("out")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):  # any exception fails: it would be a traceback
+        code = run(
+            window_universe, out,
+            *(arg for key, date in zip(keys, dates) for arg in (f"--{key}", date.isoformat())),
+            "--horizons", "1w:5", "--paths", "10", "--group-count", "3", "--group-size", "2",
+            "--trials", "10", *command,
+        )
+    shutil.rmtree(out, ignore_errors=True)
+    lines = stderr.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("data error: "), lines
 
 
 class TestReport:

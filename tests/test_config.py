@@ -1,3 +1,4 @@
+import codecs
 import datetime as dt
 
 import pytest
@@ -53,6 +54,20 @@ class TestLoadConfig:
         path.write_text("seed = 1\n# again\nseed = 7\n")
         with pytest.raises(DataError, match=r"run\.cfg:3: seed is set more than once"):
             load_config(path)
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        # Notepad and spreadsheet exports start the file with one
+        text = "seed = 3\nhorizons = 1w:5\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        config = RunConfig(**load_config(marked))
+        assert config == RunConfig(**load_config(plain))
+        assert config == RunConfig(seed=3, horizons=(HorizonSpec("1w", 5),))
+        # the mark does not excuse what follows it
+        marked.write_bytes(codecs.BOM_UTF8 + b"seed = 7\n\xff\n")
+        with pytest.raises(DataError, match="is not UTF-8 text"):
+            load_config(marked)
 
     def test_non_utf8_is_data_error(self, tmp_path):
         path = tmp_path / "run.cfg"
