@@ -19,7 +19,7 @@ import platform
 import re
 import sys
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from functools import cached_property, lru_cache
 from itertools import chain
 from pathlib import Path
@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .config import SETTINGS, RunConfig, load_config
 from .errors import DataError, NumericError, SettingsError
-from .evaluation import evaluate_ensemble
+from .evaluation import HorizonResult, evaluate_ensemble
 from .gbm import GbmParams, ensemble_arrays, envelope, simulate_ensemble
 from .market_data import PricePanel, PriceSeries, align_panel, load_csv, slice_panel, slice_period
 from .portfolio import Weights, optimize_max_sharpe, portfolio_value_series, rank_and_group
@@ -37,6 +37,8 @@ from .streams import STREAMS
 import numpy as np
 
 METRICS = ("return", "risk", "sharpe")
+# report_<subject>.csv's header; summary.csv puts "subject" before it
+REPORT_COLUMNS = [f.name for f in fields(HorizonResult)]
 # envelope_<subject>.csv: its header, and one line per day
 ENVELOPE_HEADER = "day_index,date,actual,mean,q05,q95\n"
 ENVELOPE_ROW = "%d,%s,%.12g,%.12g,%.12g,%.12g\n"
@@ -100,18 +102,15 @@ def _columns(panel, tickers):
 
 def _summary_rows(subjects, reports):
     """One row per subject and horizon, then a MEAN row per horizon."""
-    rows = [
-        (subject, r.horizon.label, r.horizon.days, r.mean_correlation, r.mape, r.band)
-        for subject, report in zip(subjects, reports)
-        for r in report
-    ]
-    # final mean row per horizon, the summary-table convention
+    rows = [(subject, *astuple(r)) for subject, report in zip(subjects, reports) for r in report]
+    # final mean row per horizon, the summary-table convention; it is built
+    # field by field, so a HorizonResult field without a MEAN rule here fails
     for results in zip(*reports):
         corrs = [r.mean_correlation for r in results if r.mean_correlation is not None]
         mean_corr = sum(corrs) / len(corrs) if corrs else None
         mean_mape = sum(r.mape for r in results) / len(results)
-        horizon = results[0].horizon
-        rows.append(("MEAN", horizon.label, horizon.days, mean_corr, mean_mape, ""))
+        mean = HorizonResult(results[0].horizon, results[0].days, mean_corr, mean_mape, "")
+        rows.append(("MEAN", *astuple(mean)))
     return rows
 
 
@@ -367,13 +366,7 @@ class Run:
 
     def write_forecast(self, subject):
         report, band, actual = self.forecast(subject)
-        rows = [
-            (r.horizon.label, r.horizon.days, r.mean_correlation, r.mape, r.band)
-            for r in report
-        ]
-        self.write_csv(
-            f"report_{subject}.csv", ["horizon", "days", "mean_correlation", "mape", "band"], rows
-        )
+        self.write_csv(f"report_{subject}.csv", REPORT_COLUMNS, map(astuple, report))
         rows = zip(
             range(len(actual.dates)),
             map(_day_label, actual.dates),
@@ -389,11 +382,8 @@ class Run:
         groups = tuple(f"{m}-{i + 1}" for m in METRICS for i in range(self.config.group_count))
         subjects = self.tickers + groups
         reports = [self.write_forecast(subject) for subject in subjects]
-        self.write_csv(
-            "summary.csv",
-            ["subject", "horizon", "days", "mean_correlation", "mape", "band"],
-            _summary_rows(subjects, reports),
-        )
+        rows = _summary_rows(subjects, reports)
+        self.write_csv("summary.csv", ["subject", *REPORT_COLUMNS], rows)
 
     def write_manifest(self, command):
         config = asdict(self.config)
@@ -446,6 +436,11 @@ def run_command(config, args):
 # argument parsing
 
 class _Parser(argparse.ArgumentParser):
+    """A parser that takes options spelled in full only; --s is not --seed."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

@@ -49,7 +49,10 @@ DEFAULT_HORIZONS = (
 
 @dataclass(frozen=True)
 class HorizonResult:
-    horizon: HorizonSpec
+    """One horizon's scores: a row of report_<subject>.csv, its fields in column order."""
+
+    horizon: str  # the HorizonSpec's label
+    days: int
     mean_correlation: float | None  # None when the actual or every path segment is constant
     mape: float
     band: str
@@ -132,5 +135,7 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS):
                 corr_mean = float(np.clip(r, -1.0, 1.0).mean())
                 if not math.isfinite(corr_mean):
                     raise NumericError(f"{spec.label}: correlation is {corr_mean}; sums overflowed")
-        results.append(HorizonResult(spec, corr_mean, mape_mean, classify_mape(mape_mean)))
+        results.append(
+            HorizonResult(spec.label, h, corr_mean, mape_mean, classify_mape(mape_mean))
+        )
     return tuple(results)

@@ -140,18 +140,6 @@ def ensemble_arrays(n_paths, horizon):
     return tuple(np.empty(shape) for shape in _array_shapes(n_paths, horizon))
 
 
-def _ensemble_normals(n_paths, horizon, seed, arrays=None):
-    """The (horizon, n_paths) normals an ensemble is drawn from: rows 1.. of `steps`.
-
-    The uniform block is read transposed, and Box-Muller's scratch rows are
-    the front half of that contiguous block, dead once both halves are read.
-    """
-    uniforms, steps = arrays or ensemble_arrays(n_paths, horizon)
-    rows = uniform_rows(seed, 0, n_paths, steps.shape[0] - 1, out=uniforms)
-    scratch = rows.reshape(-1, n_paths)[: rows.shape[1] // 2]
-    return box_muller(rows.T, horizon, out=steps[1:], scratch=scratch)
-
-
 def simulate_ensemble(params, n_paths, horizon, seed, out=None):
     """n_paths independent paths of `horizon` steps; path i depends only on (seed, i).
 
@@ -166,8 +154,13 @@ def simulate_ensemble(params, n_paths, horizon, seed, out=None):
     shapes = _array_shapes(n_paths, horizon)
     if tuple(a.shape for a in out) != shapes:
         raise DataError(f"out has shapes {[a.shape for a in out]}, need {list(shapes)}")
-    normals = _ensemble_normals(n_paths, horizon, seed, out)
-    steps = out[1][: horizon + 1]
+    uniforms, steps = out
+    rows = uniform_rows(seed, 0, n_paths, shapes[0][1], out=uniforms)
+    # Box-Muller's scratch: the front half of the contiguous uniform block,
+    # dead once both halves are read, so a draw allocates no temporary
+    scratch = rows.reshape(-1, n_paths)[: rows.shape[1] // 2]
+    normals = box_muller(rows.T, horizon, out=steps[1:], scratch=scratch)
+    steps = steps[: horizon + 1]
     gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals, out=steps)
     return PathSet(steps.T)
 

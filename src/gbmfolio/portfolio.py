@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, SettingsError
 from .market_data import TRADING_DAYS_PER_YEAR, PriceSeries
 from .streams import uniform_rows
 
@@ -168,7 +168,10 @@ def rank_and_group(stats, metric, group_count, group_size):
     """
     n = len(stats)
     if n != group_count * group_size:
-        raise DataError(f"universe of {n} tickers does not split into {group_count}x{group_size}")
+        raise SettingsError(
+            f"universe of {n} tickers does not split into group_count {group_count}"
+            f" x group_size {group_size}"
+        )
     ranked = sorted(stats, key=lambda s: (-_metric_value(s, metric), s.ticker))
     return tuple(
         tuple(s.ticker for s in ranked[g * group_size : (g + 1) * group_size])

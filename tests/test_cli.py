@@ -22,6 +22,7 @@ import gbmfolio
 from gbmfolio import cli
 from gbmfolio.cli import main
 from gbmfolio.config import SETTINGS, RunConfig
+from gbmfolio.evaluation import HorizonResult
 from gbmfolio.market_data import load_csv, slice_period
 from gbmfolio.stats import asset_stats
 from gbmfolio.synthetic import make_universe, weekday_range
@@ -200,6 +201,28 @@ class TestSimulate:
         assert {"SYN00", "return-1", "risk-3", "sharpe-2", "MEAN"} <= subjects
         mean_rows = [r for r in rows if r["subject"] == "MEAN"]
         assert [r["horizon"] for r in mean_rows] == ["1w", "2w", "1m", "6m", "1y"]
+
+    def test_the_mean_row_skips_a_subject_without_correlation(self):
+        reports = [
+            (
+                HorizonResult("1w", 5, 0.5, 0.25, "reasonable"),
+                HorizonResult("1m", 21, 0.25, 0.125, "good"),
+            ),
+            (
+                HorizonResult("1w", 5, None, 0.75, "imprecise"),
+                HorizonResult("1m", 21, 0.75, 0.375, "reasonable"),
+            ),
+        ]
+        rows = cli._summary_rows(["A", "B"], reports)
+        assert rows == [
+            ("A", "1w", 5, 0.5, 0.25, "reasonable"),
+            ("A", "1m", 21, 0.25, 0.125, "good"),
+            ("B", "1w", 5, None, 0.75, "imprecise"),
+            ("B", "1m", 21, 0.75, 0.375, "reasonable"),
+            ("MEAN", "1w", 5, 0.5, 0.5, ""),
+            ("MEAN", "1m", 21, 0.5, 0.25, ""),
+        ]
+        assert {len(row) for row in rows} == {len(cli.REPORT_COLUMNS) + 1}
 
     def test_roundtrip_precision(self, universe_dir, tmp_path):
         run(universe_dir, tmp_path, "--paths", "50", "simulate", "--subject", "SYN03")
@@ -558,6 +581,40 @@ class TestUsageAndConfig:
         assert capsys.readouterr().err == (
             f"data error: sharpe-4: group_count is 3, so there is no group 4{suffix}\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_a_universe_that_does_not_split_names_the_settings(
+        self, universe_dir, tmp_path, capsys, route
+    ):
+        argv, suffix = settings_argv(tmp_path, {"group_count": "4"}, route)
+        out = tmp_path / "out"
+        rc = run(universe_dir, out, *argv, "--group-size", "2", "group", "--metric", "risk")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "data error: universe of 6 tickers does not split into group_count 4 x group_size 2"
+            f"{suffix}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--s", "5", "stats", "SYN00"], "unrecognized arguments: --s"),
+            (["--s=5", "stats", "SYN00"], "unrecognized arguments: --s=5"),
+            (["--trial", "5", "stats", "SYN00"], "unrecognized arguments: --trial"),
+            (["--h", "1w:5", "stats", "SYN00"], "unrecognized arguments: --h"),
+            (["group", "--met", "sharpe"], "the following arguments are required: --metric"),
+            (["simulate", "--sub", "SYN00"], "the following arguments are required: --subject"),
+        ],
+    )
+    def test_an_option_is_spelled_in_full(self, universe_dir, tmp_path, capsys, argv, message):
+        # with prefixes on, --s 5 would quietly set the seed
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(universe_dir, out, *argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -265,7 +265,8 @@ def path_major_reference(pathset, actual, horizons):
             if ss_a > 0 and a.max() > a.min() and usable.any():
                 r = (df[usable] @ da) / np.sqrt(ss_f[usable] * ss_a)
                 corr_mean = float(np.clip(r, -1.0, 1.0).mean())
-        results.append(HorizonResult(spec, corr_mean, mape_mean, classify_mape(mape_mean)))
+        band = classify_mape(mape_mean)
+        results.append(HorizonResult(spec.label, h, corr_mean, mape_mean, band))
     return tuple(results)
 
 
@@ -289,7 +290,8 @@ def time_major_reference(pathset, actual, horizons):
             if ss_a > 0 and a.max() > a.min() and usable.any():
                 r = (da @ df)[usable] / np.sqrt(ss_f[usable] * ss_a)
                 corr_mean = float(np.clip(r, -1.0, 1.0).mean())
-        results.append(HorizonResult(spec, corr_mean, mape_mean, classify_mape(mape_mean)))
+        band = classify_mape(mape_mean)
+        results.append(HorizonResult(spec.label, h, corr_mean, mape_mean, band))
     return tuple(results)
 
 
@@ -330,7 +332,7 @@ def test_scoring_matches_the_path_major_oracle(case):
     pathset, actual, horizons = case
     got = evaluate_ensemble(pathset, actual, horizons)
     for r, want in zip(got, path_major_reference(pathset, actual, horizons)):
-        assert (r.horizon, r.band) == (want.horizon, want.band)
+        assert (r.horizon, r.days, r.band) == (want.horizon, want.days, want.band)
         assert r.mape == pytest.approx(want.mape, rel=1e-13, abs=0)
         if want.mean_correlation is None:
             assert r.mean_correlation is None

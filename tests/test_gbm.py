@@ -13,7 +13,6 @@ from gbmfolio.gbm import (
     BAND_QUANTILES,
     GbmParams,
     PathSet,
-    _ensemble_normals,
     box_muller,
     ensemble_arrays,
     envelope,
@@ -175,7 +174,7 @@ class TestPathStream:
                 assert np.array_equal(path_drawn_alone(params, seed, i, horizon), paths[i])
 
     def test_box_muller_moments(self):
-        z = _ensemble_normals(4000, 250, 2024).ravel()
+        z = box_muller(uniform_rows(2024, 0, 4000, 250).T, 250).ravel()
         assert z.size == 1_000_000
         assert abs(z.mean()) <= 3 / math.sqrt(z.size)
         assert z.std() == pytest.approx(1.0, rel=0.01)
@@ -213,7 +212,7 @@ class TestPathStream:
 
     def test_odd_horizon_draws_an_even_row(self):
         assert ensemble_arrays(3, 5)[0].shape == (3, 6)  # 2 * ceil(5 / 2) words per path
-        normals = _ensemble_normals(3, 5, 1)
+        normals = box_muller(uniform_rows(1, 0, 3, 6).T, 5)
         assert normals.shape == (5, 3)
         assert np.all(np.isfinite(normals))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gbmfolio import portfolio
-from gbmfolio.errors import DataError, NumericError
+from gbmfolio.errors import DataError, NumericError, SettingsError
 from gbmfolio.market_data import PriceSeries, align_panel
 from gbmfolio.portfolio import (
     PortfolioStats,
@@ -335,5 +335,5 @@ class TestRankAndGroup:
 
     def test_divisibility_error(self, rng):
         universe = self.make_universe(rng, 5)
-        with pytest.raises(DataError):
+        with pytest.raises(SettingsError, match="split into group_count 2 x group_size 3"):
             rank_and_group(self.universe_stats(universe), "return", group_count=2, group_size=3)
