@@ -28,7 +28,7 @@ from . import __version__
 from .config import SETTINGS, RunConfig, load_config
 from .errors import DataError, NumericError, SettingsError
 from .evaluation import HorizonResult, evaluate_ensemble
-from .gbm import GbmParams, ensemble_arrays, envelope, simulate_ensemble
+from .gbm import GbmParams, envelope, simulate_ensemble, wiener_ensemble
 from .market_data import PricePanel, PriceSeries, align_panel, load_csv, slice_panel, slice_period
 from .portfolio import Weights, optimize_max_sharpe, portfolio_value_series, rank_and_group
 from .stats import asset_stats
@@ -60,7 +60,8 @@ def _fmt(x):
 
 
 def _subject_seed(config, name):
-    # stable per-subject stream, independent of which subjects a run includes
+    # a stream per name, independent of which subjects a run includes: one
+    # per optimized group, and the one Brownian ensemble every forecast shares
     return (config.seed << 32) ^ zlib.crc32(name.encode())
 
 
@@ -269,16 +270,17 @@ class Run:
         return self._groups[metric]
 
     @cached_property
-    def draw_arrays(self):
-        """The uniform block and time-major work array every forecast draws into.
+    def ensemble(self):
+        """The run's Brownian ensemble and the work array each forecast is priced into.
 
-        n_paths and the longest horizon are fixed for a run, so one pair of
-        arrays serves every subject; a forecast is scored and banded before
-        the next overwrites it.
+        n_paths and the longest horizon are fixed for a run, so one draw of W
+        serves every subject (common random numbers); a forecast is scored
+        and banded before the next overwrites the work array.
         """
         n, days = self.config.n_paths, max(h.days for h in self.config.horizons)
         try:
-            return ensemble_arrays(n, days)
+            wiener = wiener_ensemble(n, days, _subject_seed(self.config, "ensemble"))
+            return wiener, np.empty(wiener.shape)
         except (MemoryError, ValueError):  # ValueError: a shape past NumPy's limit
             raise DataError(f"cannot allocate an ensemble of {n} paths x {days} days") from None
 
@@ -309,9 +311,8 @@ class Run:
             np.concatenate(([s0], evaluation.prices[:max_h])),
         )
         params = GbmParams(s0=s0, mu=stats.mu_daily, sigma=stats.sigma_daily)
-        paths = simulate_ensemble(
-            params, c.n_paths, max_h, _subject_seed(c, subject), out=self.draw_arrays
-        )
+        wiener, out = self.ensemble
+        paths = simulate_ensemble(params, wiener, out=out)
         report = evaluate_ensemble(paths, actual, c.horizons)
         band = envelope(paths)
         return report, band, actual

@@ -1,20 +1,23 @@
 """Closed-form geometric Brownian motion ensembles and their quantile band.
 
 Paths follow S(t) = S(0) * exp((mu - sigma^2/2) t + sigma W(t)) sampled
-at daily steps, with W built from standard-normal increments scaled by
-sqrt(dt). Path i of an ensemble is row i of the seed's stream (see
-streams.py), turned into normals by Box-Muller, so it depends on
-(seed, i) alone and results are reproducible regardless of execution
-order, and of which arrays the ensemble is drawn into.
+at daily steps. W is a standard Brownian ensemble drawn once
+(wiener_ensemble): path i is row i of the seed's stream (see streams.py),
+turned into normals by Box-Muller and summed over the steps, so it
+depends on (seed, i) alone and results are reproducible regardless of
+execution order. simulate_ensemble prices one subject on a given W in
+closed form, scaling it by sigma sqrt(dt), so any number of subjects can
+share one draw (common random numbers): each subject's ensemble is still
+n_paths iid GBM paths, and only the subjects' Monte Carlo errors are
+correlated.
 
 An ensemble is time-major from draw to band: one row per step, one
 column per path. The stream is drawn path-major, one row per path, and
 read transposed by Box-Muller's first operation on each half, into a
-contiguous (steps, paths) work array; every later ufunc then runs over
-whole contiguous rows, where on path-major views NumPy would call its
-inner loop once per path. The PathSet views that array transposed, and
-scoring and the band read its rows back as paths.T. Every path is
-bit-identical to the one drawn alone.
+contiguous (steps, paths) array; every later ufunc then runs over whole
+contiguous rows, where on path-major views NumPy would call its inner
+loop once per path. The PathSet views a priced array transposed, and
+scoring and the band read its rows back as paths.T.
 """
 
 import math
@@ -39,12 +42,15 @@ class GbmParams:
     dt: float = 1.0  # trading days per step
 
     def __post_init__(self):
-        if self.s0 <= 0:
-            raise DataError("s0 must be positive")
-        if self.sigma < 0:
-            raise DataError("sigma must be nonnegative")
-        if self.dt <= 0:
-            raise DataError("dt must be positive")
+        # written as tests that must hold, so that a NaN fails them
+        if not 0 < self.s0 < math.inf:
+            raise DataError(f"s0 must be positive and finite, got {self.s0}")
+        if not math.isfinite(self.mu):
+            raise DataError(f"mu must be finite, got {self.mu}")
+        if not 0 <= self.sigma < math.inf:
+            raise DataError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        if not 0 < self.dt < math.inf:
+            raise DataError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class PathSet:
     """Ensemble of simulated trajectories, shape (n_paths, horizon + 1).
 
     `paths` is a read-only view: the array it views stays writable, so a
-    caller's arrays can be drawn into again (simulate_ensemble's `out`).
+    caller's array can be priced into again (simulate_ensemble's `out`).
     """
 
     paths: np.ndarray
@@ -63,20 +69,14 @@ class PathSet:
         object.__setattr__(self, "paths", paths)
 
 
-def gbm_paths(s0, mu, sigma, dt, normals, out=None):
+def gbm_paths(s0, mu, sigma, dt, normals):
     """Closed-form GBM paths from pre-drawn standard normals, time-major.
 
-    normals has shape (horizon, n_paths), one row per step; the result has
-    shape (horizon + 1, n_paths) with row 0 fixed at s0. It is written into
-    `out` when one is given, and into a fresh array otherwise; `out[1:]`
-    may be `normals` itself.
+    normals has shape (horizon, n_paths), one row per step; the result, a
+    fresh array, has shape (horizon + 1, n_paths) with row 0 fixed at s0.
     """
     normals = np.asarray(normals, dtype=float)
-    shape = (normals.shape[0] + 1, normals.shape[1])
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise DataError(f"out has shape {out.shape}, need {shape}")
+    out = np.empty((normals.shape[0] + 1, normals.shape[1]))
     out[0] = s0
     log_rel = out[1:]
     np.multiply(normals, sigma * np.sqrt(dt), out=log_rel)
@@ -123,46 +123,48 @@ def box_muller(uniforms, horizon, out=None, scratch=None):
     return out[:horizon]
 
 
-def _array_shapes(n_paths, horizon):
+def wiener_ensemble(n_paths, horizon, seed):
+    """A standard Brownian ensemble, read-only and time-major, shape (horizon + 1, n_paths).
+
+    Row 0 is zeros and row k the sum of path i's first k Box-Muller
+    normals, so column i depends on (seed, i) alone. The uniform block is
+    freed once W is drawn.
+    """
     if n_paths < 1 or horizon < 1:
         raise DataError("n_paths and horizon must be >= 1")
     width = 2 * -(-horizon // 2)  # uniforms per path: Box-Muller takes them in pairs
-    return (n_paths, width), (width + 1, n_paths)
-
-
-def ensemble_arrays(n_paths, horizon):
-    """Fresh (uniforms, steps) arrays for one draw of n_paths x horizon steps.
-
-    uniforms is the path-major stream block and steps the time-major work
-    array the paths are drawn into. Pass them to simulate_ensemble's `out`
-    to draw any number of ensembles of that shape into the same memory.
-    """
-    return tuple(np.empty(shape) for shape in _array_shapes(n_paths, horizon))
-
-
-def simulate_ensemble(params, n_paths, horizon, seed, out=None):
-    """n_paths independent paths of `horizon` steps; path i depends only on (seed, i).
-
-    `out` is a (uniforms, steps) pair from ensemble_arrays(n_paths, horizon)
-    to draw into, as NumPy's `out=` arguments are: the returned PathSet
-    then views rows 0..horizon of `steps`, transposed, and the next draw
-    into the same arrays overwrites it. Without `out`, each call draws
-    into arrays of its own.
-    """
-    if out is None:
-        out = ensemble_arrays(n_paths, horizon)
-    shapes = _array_shapes(n_paths, horizon)
-    if tuple(a.shape for a in out) != shapes:
-        raise DataError(f"out has shapes {[a.shape for a in out]}, need {list(shapes)}")
-    uniforms, steps = out
-    rows = uniform_rows(seed, 0, n_paths, shapes[0][1], out=uniforms)
+    rows = uniform_rows(seed, 0, n_paths, width)
+    wiener = np.empty((width + 1, n_paths))
+    wiener[0] = 0.0
     # Box-Muller's scratch: the front half of the contiguous uniform block,
     # dead once both halves are read, so a draw allocates no temporary
-    scratch = rows.reshape(-1, n_paths)[: rows.shape[1] // 2]
-    normals = box_muller(rows.T, horizon, out=steps[1:], scratch=scratch)
-    steps = steps[: horizon + 1]
-    gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals, out=steps)
-    return PathSet(steps.T)
+    scratch = rows.reshape(-1, n_paths)[: width // 2]
+    normals = box_muller(rows.T, horizon, out=wiener[1:], scratch=scratch)
+    np.cumsum(normals, axis=0, out=normals)
+    wiener = wiener[: horizon + 1]
+    wiener.flags.writeable = False
+    return wiener
+
+
+def simulate_ensemble(params, wiener, out=None):
+    """The GBM ensemble of `params` on a Brownian ensemble from wiener_ensemble.
+
+    S(t) = s0 exp((mu - sigma^2/2) dt t + sigma sqrt(dt) W(t)), written into
+    `out`, an array of wiener's shape, as NumPy's `out=` arguments are: the
+    returned PathSet then views it transposed, and the next call into the
+    same array overwrites it. Without `out`, each call prices into an array
+    of its own.
+    """
+    if out is None:
+        out = np.empty(wiener.shape)
+    elif out.shape != wiener.shape:
+        raise DataError(f"out has shape {out.shape}, need {wiener.shape}")
+    np.multiply(wiener, params.sigma * math.sqrt(params.dt), out=out)
+    drift = (params.mu - 0.5 * params.sigma * params.sigma) * params.dt
+    out += np.arange(wiener.shape[0])[:, None] * drift
+    np.exp(out, out=out)
+    out *= params.s0
+    return PathSet(out.T)
 
 
 def envelope(pathset):

@@ -16,7 +16,7 @@ from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 from .errors import DataError
 
-STREAMS = "pcg64dxsm-advance-v1"
+STREAMS = "pcg64dxsm-advance-v2"
 
 
 def uniform_rows(seed, first, count, width, out=None):

@@ -13,7 +13,7 @@ import pytest
 from gbmfolio.cli import main
 from gbmfolio.errors import NumericError
 from gbmfolio.evaluation import HorizonSpec, classify_mape, evaluate_ensemble
-from gbmfolio.gbm import GbmParams, simulate_ensemble
+from gbmfolio.gbm import GbmParams, simulate_ensemble, wiener_ensemble
 from gbmfolio.portfolio import Weights, optimize_max_sharpe
 from gbmfolio.stats import log_returns, sharpe_ratio
 from gbmfolio.synthetic import make_universe
@@ -54,7 +54,7 @@ def test_02_mape_band_table():
 
 def test_03_gbm_moment_check():
     mu, sigma, s0, horizon, n = 0.0004, 0.01, 100.0, 247, 5000
-    ps = simulate_ensemble(GbmParams(s0, mu, sigma), n, horizon, 1)
+    ps = simulate_ensemble(GbmParams(s0, mu, sigma), wiener_ensemble(n, horizon, 1))
 
     expected_mean = s0 * math.exp(mu * horizon)
     var = s0**2 * math.exp(2 * mu * horizon) * (math.exp(sigma**2 * horizon) - 1)
@@ -72,7 +72,7 @@ def test_03_gbm_moment_check():
 def test_04_wiener_scaling():
     def increments(dt):
         # mu = sigma^2 / 2: each log increment is sigma sqrt(dt) times a normal
-        ps = simulate_ensemble(GbmParams(1.0, 0.5, 1.0, dt=dt), 4000, 250, 2)
+        ps = simulate_ensemble(GbmParams(1.0, 0.5, 1.0, dt=dt), wiener_ensemble(4000, 250, 2))
         return np.diff(np.log(ps.paths), axis=1)
 
     inc = increments(4.0)
@@ -120,9 +120,9 @@ def test_06_optimizer_contract():
 
 def test_07_self_forecast_monotone_degradation():
     mu, sigma = 0.0005, 0.015
-    actual_ps = simulate_ensemble(GbmParams(100.0, mu, sigma), 1, 247, 11)
+    actual_ps = simulate_ensemble(GbmParams(100.0, mu, sigma), wiener_ensemble(1, 247, 11))
     actual = series(actual_ps.paths[0])
-    ensemble = simulate_ensemble(GbmParams(100.0, mu, sigma), 1000, 247, 22)
+    ensemble = simulate_ensemble(GbmParams(100.0, mu, sigma), wiener_ensemble(1000, 247, 22))
     week, year = evaluate_ensemble(
         ensemble, actual, (HorizonSpec("1w", 5), HorizonSpec("1y", 247))
     )
@@ -180,42 +180,42 @@ def test_09_paper_scale_run(tmp_path):
 # the sha256 of every output of small_report but the manifest, as the manifest lists
 # them; a change that means to move a number updates this map and says so
 PINNED_OUTPUTS = {
-    "envelope_SYN00.csv": "2ba83a7f62164779be83c91fb86e40f2d2f27657088a845dd0d0f923112d95ac",
-    "envelope_SYN01.csv": "f612353c88a920f08640e4678dfd46dd65f57fe8063f46194a2e5795a7095a7a",
-    "envelope_SYN02.csv": "e5b30ac180cdbe31a2f585b5ed0d006858aacc9ae4f19d132083f5e6cb205afe",
-    "envelope_SYN03.csv": "4779f2f85fffc5971a69cea0fa0124e108b9e12678f1f013409ae556d3b59462",
-    "envelope_SYN04.csv": "a90d3dcf983680eb957a435b706f62e6854ed0ef2f00f85c61b232d7a30ba805",
-    "envelope_SYN05.csv": "a4633f20fa79cdfaf9bfca9cbb43df3e743ccf7601c72e271b7c80c43408e424",
-    "envelope_return-1.csv": "d43d02c7c7db4399559c42f0fa7ae8eff9933165fd8944caf94874705058a6e2",
-    "envelope_return-2.csv": "115c1b29b69bb520b3608eb7e5d595f92b1a6ee2d7fb1a3e6e950ef2d933cc06",
-    "envelope_return-3.csv": "2ccf0fafe5e24b84da864c9ce3e4fe802d10b252591a1ea184f47fb7b808a8c1",
-    "envelope_risk-1.csv": "277fd0059897082b26647d793bb5c52b65febe61c970b938c0f6177466eb07cf",
-    "envelope_risk-2.csv": "e8db0876d11a4f855ca3171622d33ba0ab7480ea12ec4efd01e9c46177b90966",
-    "envelope_risk-3.csv": "7b883f3147f4a4af9795ca6ffaf501e89cc0cd2dd2c3b2a306671660d99944f7",
-    "envelope_sharpe-1.csv": "ee6a9f3171a34355ad2159c38a37141248d525ec53c74278073f1489a5821210",
-    "envelope_sharpe-2.csv": "45a5cdd12a98db26e1f8b201e0ae70c7d660d934aa943fb784cf72b641780fd7",
-    "envelope_sharpe-3.csv": "d3484d035766a5dd3eb3c1fe6fcc736e523fa6ad978ddb1c9e8ddbaec8817e3c",
+    "envelope_SYN00.csv": "c1de957133ddc7e04bed299374d95f952425c8f01c7194073c2c0ecf957f2941",
+    "envelope_SYN01.csv": "4ba2cf79329600ae4c3396c4bc09d3ae0b8f5ed2407b8aae1ddb8252f841618c",
+    "envelope_SYN02.csv": "cf71b2f809eec33ec559df942a452d9e18a13aa8783a9d08eb73d32c30ebf6bf",
+    "envelope_SYN03.csv": "1d6936b8e6fa70c3b8c2746f7c71ee40a2bc9d336cc058cc36c55bc4d93f0e05",
+    "envelope_SYN04.csv": "8d7259af7447642525997d55aa97bb202720f02f3acaadf176c92efcc769ff54",
+    "envelope_SYN05.csv": "cac764277124a9ddc446d673d4fcbed70b721e83536e7a16d9da9bad6c83dd1f",
+    "envelope_return-1.csv": "9ac5a42ffb8e972443d2f6ef77dedc5594ace4b8a322d0ce3f80831e5d71fa7d",
+    "envelope_return-2.csv": "a967e56613553ed9d8ede5630b3763b9e4039db0e9f26f2d3172435db4c7f567",
+    "envelope_return-3.csv": "c1b018beb4c0dacaf3f2115e8e062b5c567ddc3d2a26bbfeffdae2fe57f343f1",
+    "envelope_risk-1.csv": "249000960ecf9b89e51f491b7048e2ce0bc157821d214f2324f504dd59dc1e74",
+    "envelope_risk-2.csv": "b7f81632f49a5a858fe4ec578d87881b2f4db24838ad61e30f57a89e6c3edfc8",
+    "envelope_risk-3.csv": "16ba46553e97adb89f971a31ebc12092d9ad3026e7edc501f8b2cf9c50c1ee21",
+    "envelope_sharpe-1.csv": "bd1dbcd47feb267ddc0db206b80b2c8149c8fcc2a36467cf79db02f3aa5fc6b6",
+    "envelope_sharpe-2.csv": "2d7c9a951bc53f53fffc9e4f5b0ebf448ff20c4c825ae01fc4f0ca9a0f4c4cbf",
+    "envelope_sharpe-3.csv": "84d35aaf94b14aeecc2f7b76da39c6add7258da4d788b20cfb323b03aa2e1b7e",
     "groups_return.csv": "0580701f787d3200566e2fa88355c2e76ec1c48f01a3833271189e4f935fd075",
     "groups_risk.csv": "4fd208217bf5c6ed3c12a82852688122231c9c62b01e93e23f6dde6d4e311ac0",
     "groups_sharpe.csv": "0580701f787d3200566e2fa88355c2e76ec1c48f01a3833271189e4f935fd075",
-    "report_SYN00.csv": "cbc55cfddb20681ecc90269fb41053e8c005d712a8504e881f1c0e91b2eb4e10",
-    "report_SYN01.csv": "8024c2e0dbfda644e3de48d046f9497fe8a4cacfe9b01fa80ed08b2022f14747",
-    "report_SYN02.csv": "7bee76439abd69809274a91d93a7eed29680fcb1421d328672ae7b53cedf6bbe",
-    "report_SYN03.csv": "0f080dd9a96a4c7560234e7c3fc62642303095ad6d5e776ab8e7a24e5d0a721d",
-    "report_SYN04.csv": "e1499c7294d5431346f8c5402bd17691e3d1ebe830b466caf6814df82978deee",
-    "report_SYN05.csv": "12ec276c7f9119f49a2b50caa7bd1687299fd68ff2b36e0b0f18bf99fc4e8494",
-    "report_return-1.csv": "5723d0cd83e676862a8466238902babd0d5cd6b9a895e1b16a0527a67d5182ef",
-    "report_return-2.csv": "2c3730be41be86e06b51accecf4a589a701ae591db82578993a1ef76393a1558",
-    "report_return-3.csv": "7876a4918e0bb67b3e3ab6f12d2f58556c7e38d87285d80d31bed8e9b8d9f0b6",
-    "report_risk-1.csv": "f32bef0f9872af09c4cb0c49b0e0a9c85621b3f314a5ff895dfd617fa51f6903",
-    "report_risk-2.csv": "f43687b8b6ccff473e39318c2cfa948ae0493f57b791e2632983271a3edfd73a",
-    "report_risk-3.csv": "bf13b42148cd45e4f161a3b349fb35588004ef90f786d5aece4a29037e52bf25",
-    "report_sharpe-1.csv": "f14922197db009d7d4f9ec03e0abea811cef48ea844cd78679655d8bb9abae06",
-    "report_sharpe-2.csv": "54009b5ef19c3b456c827b7fbedfaa1ed39ab930b36dba7d811f69d4bb67b9c6",
-    "report_sharpe-3.csv": "27f88d6980fce4b1ed1832de0b06ae5d2db3571cdc1a3240cdabbdec08253ed2",
+    "report_SYN00.csv": "f93a8ed49e3e370429d890adc20e3e34739d4dd1dab744e6191643e67f5324e6",
+    "report_SYN01.csv": "d07aeba65279d76f66a47ea7bc3beaf0b9e7a16999376d81508f3e6a3bdd0393",
+    "report_SYN02.csv": "38227652be3bd275511d6d8617341abb030cba66e2ea6cd7248273a7f0b68587",
+    "report_SYN03.csv": "3d7b0624820e0e25ad4d68308dd27dc4dcb309f73a04f0f1a80bc9880dd0850e",
+    "report_SYN04.csv": "651e663ddeca99bc80c4defda3c3972f3eb188fb1f94e0d9484230e4fb6d1cbe",
+    "report_SYN05.csv": "6f79af4bf107914e8a9eb9c223c1f66c8748364fbdfc0abe728c2aa1daea9688",
+    "report_return-1.csv": "2c26b5df9cac074888bb0057b8a72e2ffba0f89239ac1e6e00e96251b96b2a93",
+    "report_return-2.csv": "e029ae7e30608ab0b660beb6adfe1c73e4c6c56884ce26e88d54c8736a5b0f98",
+    "report_return-3.csv": "ff38f7e77f8ea7b9ed8155b67069b65f7dad1ed22a0e8648d229ec065e2aeed8",
+    "report_risk-1.csv": "fab1a258e20838982fc9ad7d8768ecc52c5e729689b1e4bdc326b78de3d3d88a",
+    "report_risk-2.csv": "2e4a2e0b85100318da1b48df584020f9912c15c06522eb346913895a2092885b",
+    "report_risk-3.csv": "ec4cd2e47c7990f6db211ee7a9ac427486838be5fff1ba3745f499efd23ec4ee",
+    "report_sharpe-1.csv": "da1e96fe3b27a1ecda9cad152e03dae63b4395433f2909a1e53b13b9ffc80600",
+    "report_sharpe-2.csv": "3f22b9db010bdf4b8a1ef8df016d41ebb488a5b5b887ee15814bec253719e380",
+    "report_sharpe-3.csv": "7cc5fbd593624c39e020ae2debc867643e4f4aa1dbcea7069d8ad8502f90722c",
     "stats.csv": "c38837f6193921112aea35fbb036777feec1b55af53bda6461b721e28ec88715",
     "stats.txt": "3663db865f038406d8dd5a4415d940094071035e2cac31613c182224d36060f3",
-    "summary.csv": "dcebe907e8edd254d1f74cffcc1b80407a92969b7ff7110a9554f8dd8d665836",
+    "summary.csv": "db141db3c8bb2a394ce46f11a210ddf8ff771692a1f5341a308c06db337433f6",
     "weights_sharpe.csv": "96c9e8e12fb945e2ad92f4b8c1de19cc3cb046c5ecb0bf550563a779aee11e71",
 }
 

@@ -1010,7 +1010,7 @@ class TestReport:
         assert rc == 0
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert "backend" not in manifest
-        assert manifest["streams"] == "pcg64dxsm-advance-v1"
+        assert manifest["streams"] == "pcg64dxsm-advance-v2"
         assert manifest["versions"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,

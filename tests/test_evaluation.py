@@ -12,7 +12,7 @@ from gbmfolio.evaluation import (
     classify_mape,
     evaluate_ensemble,
 )
-from gbmfolio.gbm import GbmParams, PathSet, simulate_ensemble
+from gbmfolio.gbm import GbmParams, PathSet, simulate_ensemble, wiener_ensemble
 
 from conftest import series
 
@@ -132,14 +132,14 @@ class TestEvaluateEnsemble:
 
     def test_perfect_deterministic_forecast(self):
         actual = series(100 * 1.01 ** np.arange(11))
-        ps = simulate_ensemble(GbmParams(100.0, np.log(1.01), 0.0), 10, 10, 0)
+        ps = simulate_ensemble(GbmParams(100.0, np.log(1.01), 0.0), wiener_ensemble(10, 10, 0))
         report = evaluate_ensemble(ps, actual, self.horizons)
         for r in report:
             assert r.mape == pytest.approx(0.0, abs=1e-12)
             assert r.band == "high"
 
     def test_actual_equals_single_path(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 1, 10, 3)
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), wiener_ensemble(1, 10, 3))
         actual = series(ps.paths[0])
         report = evaluate_ensemble(ps, actual, self.horizons)
         for r in report:
@@ -176,12 +176,12 @@ class TestEvaluateEnsemble:
 
     def test_constant_actual_has_no_correlation(self):
         # 0.3 averages to a value other than 0.3 over 10 days
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 20, 10, 3)
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), wiener_ensemble(20, 10, 3))
         report = evaluate_ensemble(ps, series(np.full(11, 0.3)), self.horizons)
         assert [r.mean_correlation for r in report] == [None, None]
 
     def test_constant_paths_leave_the_mean_correlation_unchanged(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 20, 10, 3)
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), wiener_ensemble(20, 10, 3))
         actual = series(100 * 1.002 ** np.arange(11))
         mixed = np.vstack([ps.paths[:10], np.full((5, 11), 0.3), ps.paths[10:]])
         got = evaluate_ensemble(PathSet(mixed), actual, self.horizons)
@@ -189,7 +189,7 @@ class TestEvaluateEnsemble:
             assert r.mean_correlation == pytest.approx(want.mean_correlation, rel=1e-14)
 
     def test_prefix_consistency(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 50, 30, 3)
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), wiener_ensemble(50, 30, 3))
         actual = series(100 * 1.002 ** np.arange(31))
         full = evaluate_ensemble(
             ps, actual, (HorizonSpec("1w", 5), HorizonSpec("2w", 10), HorizonSpec("x", 30))
@@ -199,7 +199,7 @@ class TestEvaluateEnsemble:
             assert a == b
 
     def test_too_short_actual(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), 5, 10, 3)
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), wiener_ensemble(5, 10, 3))
         actual = series(100 * 1.002 ** np.arange(8))
         with pytest.raises(DataError):
             evaluate_ensemble(ps, actual, self.horizons)
@@ -207,11 +207,11 @@ class TestEvaluateEnsemble:
     def test_mape_against_larger_monte_carlo_oracle(self):
         # expected MAPE estimated from an independent 10x larger ensemble
         mu, sigma, h = 0.0005, 0.015, 60
-        actual_path = simulate_ensemble(GbmParams(100.0, mu, sigma), 1, h, 101)
+        actual_path = simulate_ensemble(GbmParams(100.0, mu, sigma), wiener_ensemble(1, h, 101))
         actual = series(actual_path.paths[0])
         horizons = (HorizonSpec("x", h),)
-        small = simulate_ensemble(GbmParams(100.0, mu, sigma), 1000, h, 202)
-        big = simulate_ensemble(GbmParams(100.0, mu, sigma), 10_000, h, 303)
+        small = simulate_ensemble(GbmParams(100.0, mu, sigma), wiener_ensemble(1000, h, 202))
+        big = simulate_ensemble(GbmParams(100.0, mu, sigma), wiener_ensemble(10_000, h, 303))
         got = evaluate_ensemble(small, actual, horizons)[0].mape
         oracle = evaluate_ensemble(big, actual, horizons)[0].mape
         assert got == pytest.approx(oracle, rel=0.20)
@@ -224,14 +224,14 @@ class TestEvaluateEnsemble:
 
     def test_overflowing_correlation_is_numeric_error(self):
         # MAPE is finite near 1e200, but the sums of squared deviations are not
-        ps = simulate_ensemble(GbmParams(1e200, 0.0, 0.01), 20, 10, 3)
+        ps = simulate_ensemble(GbmParams(1e200, 0.0, 0.01), wiener_ensemble(20, 10, 3))
         actual = series(ps.paths[0])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="1w: correlation is nan"):
                 evaluate_ensemble(ps, actual, self.horizons)
 
     def test_peak_memory_is_about_one_ensemble(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.015), 1000, 247, 7)
+        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.015), wiener_ensemble(1000, 247, 7))
         actual = series(ps.paths[3])
         evaluate_ensemble(ps, actual)  # warm up lazily allocated state
         tracemalloc.start()

@@ -14,10 +14,10 @@ from gbmfolio.gbm import (
     GbmParams,
     PathSet,
     box_muller,
-    ensemble_arrays,
     envelope,
     gbm_paths,
     simulate_ensemble,
+    wiener_ensemble,
 )
 from gbmfolio.streams import uniform_rows
 from gbmfolio.synthetic import make_universe
@@ -32,7 +32,8 @@ class TestWienerIncrements:
     @staticmethod
     def increments(n_paths, horizon, dt, seed):
         # mu = sigma^2 / 2 cancels the drift: each log increment is sqrt(dt) times a normal
-        ps = simulate_ensemble(GbmParams(1.0, 0.5, 1.0, dt=dt), n_paths, horizon, seed)
+        wiener = wiener_ensemble(n_paths, horizon, seed)
+        ps = simulate_ensemble(GbmParams(1.0, 0.5, 1.0, dt=dt), wiener)
         return np.diff(np.log(ps.paths), axis=1).ravel()
 
     def test_standard_moments(self):
@@ -50,22 +51,28 @@ class TestWienerIncrements:
     def test_validation(self):
         for n_paths, horizon in ((0, 5), (5, 0)):
             with pytest.raises(DataError, match=">= 1"):
-                simulate_ensemble(GbmParams(1.0, 0.5, 1.0), n_paths, horizon, 0)
-        with pytest.raises(DataError, match=">= 1"):
-            ensemble_arrays(0, 5)
+                wiener_ensemble(n_paths, horizon, 0)
         with pytest.raises(DataError):
             GbmParams(1.0, 0.5, 1.0, dt=0.0)
+
+    def test_read_only_time_major_from_zero(self):
+        wiener = wiener_ensemble(4, 7, 3)
+        assert wiener.shape == (8, 4)
+        assert np.all(wiener[0] == 0.0)
+        assert not wiener.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            wiener[1, 0] = 0.0
 
 
 class TestGbmPath:
     """One path: row 0 of a one-path ensemble, or of gbm_paths on given normals."""
 
     def test_sigma_zero_drift(self):
-        path = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), 1, 2, 0).paths[0]
+        path = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), wiener_ensemble(1, 2, 0)).paths[0]
         assert path == pytest.approx([100.0, 100.0 * math.e**0.001, 100.0 * math.e**0.002])
 
     def test_sigma_zero_mu_zero_constant(self):
-        path = simulate_ensemble(GbmParams(100.0, 0.0, 0.0), 1, 10, 0).paths[0]
+        path = simulate_ensemble(GbmParams(100.0, 0.0, 0.0), wiener_ensemble(1, 10, 0)).paths[0]
         assert np.all(path == 100.0)
 
     def test_log_increment_moments(self, rng):
@@ -78,7 +85,7 @@ class TestGbmPath:
         assert inc.std() == pytest.approx(sigma, rel=0.02)
 
     def test_length_and_start(self):
-        path = simulate_ensemble(GbmParams(42.0, 0.001, 0.02), 1, 30, 0).paths[0]
+        path = simulate_ensemble(GbmParams(42.0, 0.001, 0.02), wiener_ensemble(1, 30, 0)).paths[0]
         assert len(path) == 31
         assert path[0] == 42.0
         assert np.all(path > 0)
@@ -90,6 +97,19 @@ class TestGbmPath:
             GbmParams(1.0, 0.0, -0.01)
         with pytest.raises(DataError):
             GbmParams(1.0, 0.0, 0.01, dt=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("s0", math.nan), ("s0", math.inf), ("mu", math.nan), ("mu", -math.inf),
+            ("sigma", math.nan), ("sigma", math.inf), ("dt", math.nan), ("dt", math.inf),
+        ],
+    )
+    def test_non_finite_param_is_data_error(self, field, value):
+        # each would reach exp and surface only as a nan score
+        values = {"s0": 1.0, "mu": 0.0, "sigma": 0.01, "dt": 1.0, field: value}
+        with pytest.raises(DataError, match=rf"^{field} must be .*finite, got"):
+            GbmParams(**values)
 
 
 class TestGbmPaths:
@@ -106,9 +126,16 @@ class TestGbmPaths:
                 log_rel += (mu - sigma * sigma / 2) * dt + sigma * math.sqrt(dt) * normals[k, i]
                 assert out[k + 1, i] == pytest.approx(s0 * math.exp(log_rel), rel=1e-12)
 
-    def test_wrong_out_shape_is_data_error(self, rng):
-        with pytest.raises(DataError, match="shape"):
-            gbm_paths(1.0, 0.0, 0.01, 1.0, rng.standard_normal((4, 2)), out=np.empty((2, 5)))
+    def test_ensemble_closed_form_oracle(self, rng):
+        # S(k) = s0 * exp((mu - sigma^2/2) dt k + sigma sqrt(dt) W(k)) on a given W
+        params = GbmParams(50.0, 0.001, 0.02, dt=0.5)
+        wiener = np.vstack([np.zeros(3), rng.standard_normal((10, 3)).cumsum(axis=0)])
+        paths = simulate_ensemble(params, wiener).paths
+        assert paths.shape == (3, 11)
+        for i in range(3):
+            for k in range(11):
+                log_rel = (0.001 - 0.02**2 / 2) * 0.5 * k + 0.02 * math.sqrt(0.5) * wiener[k, i]
+                assert paths[i, k] == pytest.approx(50.0 * math.exp(log_rel), rel=1e-12)
 
 
 def reference_box_muller(uniforms, horizon):
@@ -128,10 +155,13 @@ def reference_box_muller(uniforms, horizon):
 
 
 def path_drawn_alone(params, seed, i, horizon):
-    """Path i from its own stream row: one column through box_muller and gbm_paths."""
+    """Path i from its own stream row: the closed form over one row's Box-Muller cumsum."""
     width = 2 * -(-horizon // 2)
-    normals = box_muller(uniform_rows(seed, i, 1, width).T, horizon)
-    return gbm_paths(params.s0, params.mu, params.sigma, params.dt, normals)[:, 0]
+    normals = box_muller(uniform_rows(seed, i, 1, width).T, horizon)[:, 0]
+    wiener = np.concatenate(([0.0], np.cumsum(normals)))
+    drift = (params.mu - 0.5 * params.sigma * params.sigma) * params.dt
+    log_rel = wiener * (params.sigma * math.sqrt(params.dt)) + np.arange(horizon + 1) * drift
+    return params.s0 * np.exp(log_rel)
 
 
 class TestPathStream:
@@ -167,9 +197,10 @@ class TestPathStream:
     @pytest.mark.parametrize("horizon", HORIZONS)
     def test_ensemble_path_drawn_alone(self, horizon, n_paths):
         params = GbmParams(100.0, 0.0004, 0.01)
-        out = ensemble_arrays(n_paths, horizon)
+        out = np.empty((horizon + 1, n_paths))
         for seed in (42, 2**100 + 3):
-            paths = simulate_ensemble(params, n_paths, horizon, seed, out=out).paths
+            wiener = wiener_ensemble(n_paths, horizon, seed)
+            paths = simulate_ensemble(params, wiener, out=out).paths
             for i in range(n_paths):
                 assert np.array_equal(path_drawn_alone(params, seed, i, horizon), paths[i])
 
@@ -211,14 +242,14 @@ class TestPathStream:
         np.testing.assert_allclose(normals, reference.T, rtol=0, atol=1e-14)
 
     def test_odd_horizon_draws_an_even_row(self):
-        assert ensemble_arrays(3, 5)[0].shape == (3, 6)  # 2 * ceil(5 / 2) words per path
-        normals = box_muller(uniform_rows(1, 0, 3, 6).T, 5)
+        normals = box_muller(uniform_rows(1, 0, 3, 6).T, 5)  # 2 * ceil(5 / 2) words per path
         assert normals.shape == (5, 3)
         assert np.all(np.isfinite(normals))
+        assert np.array_equal(wiener_ensemble(3, 5, 1)[1:], np.cumsum(normals, axis=0))
 
     def test_negative_seed_is_data_error(self):
         with pytest.raises(DataError, match="seed"):
-            simulate_ensemble(GbmParams(1.0, 0.5, 1.0), 1, 5, -1)
+            wiener_ensemble(1, 5, -1)
         with pytest.raises(DataError, match="seed"):
             uniform_rows(-1, 0, 1, 4)
 
@@ -226,18 +257,18 @@ class TestPathStream:
 class TestEnsemble:
     def test_single_path_reduction(self):
         params = GbmParams(100.0, 0.001, 0.02)
-        ps = simulate_ensemble(params, 1, 20, 9)
+        ps = simulate_ensemble(params, wiener_ensemble(1, 20, 9))
         assert ps.paths.shape == (1, 21)
         assert ps.paths[0, 0] == 100.0
 
     def test_sigma_zero_identical_paths(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), 50, 10, 1)
+        ps = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), wiener_ensemble(50, 10, 1))
         assert np.all(ps.paths == ps.paths[0])
 
     def test_lognormal_mean_oracle(self):
         # E[S(t)] = s0 * exp(mu t); SE from the analytic log-normal variance
         mu, sigma, s0, horizon, n = 0.0004, 0.01, 100.0, 247, 5000
-        ps = simulate_ensemble(GbmParams(s0, mu, sigma), n, horizon, 4)
+        ps = simulate_ensemble(GbmParams(s0, mu, sigma), wiener_ensemble(n, horizon, 4))
         expected = s0 * math.exp(mu * horizon)
         var = s0**2 * math.exp(2 * mu * horizon) * (math.exp(sigma**2 * horizon) - 1)
         se = math.sqrt(var / n)
@@ -245,70 +276,85 @@ class TestEnsemble:
 
     def test_martingale_style_moments(self):
         mu, sigma, s0 = 0.001, 0.02, 100.0
-        ps = simulate_ensemble(GbmParams(s0, mu, sigma), 4000, 100, 11)
+        ps = simulate_ensemble(GbmParams(s0, mu, sigma), wiener_ensemble(4000, 100, 11))
         for k in (10, 50, 100):
             discounted = ps.paths[:, k] / math.exp(mu * k)
             se = discounted.std(ddof=1) / math.sqrt(len(discounted))
             assert abs(discounted.mean() - s0) <= 5 * se
 
     def test_positivity(self):
-        ps = simulate_ensemble(GbmParams(1e-3, -0.05, 0.5), 200, 100, 2)
+        ps = simulate_ensemble(GbmParams(1e-3, -0.05, 0.5), wiener_ensemble(200, 100, 2))
         assert np.all(ps.paths > 0)
 
     def test_bit_identical_reruns(self):
         params = GbmParams(100.0, 0.0004, 0.01)
         config = (100, 50, 123)
-        a = simulate_ensemble(params, *config)
-        b = simulate_ensemble(params, *config)
+        a = simulate_ensemble(params, wiener_ensemble(*config))
+        b = simulate_ensemble(params, wiener_ensemble(*config))
         assert np.array_equal(a.paths, b.paths)
 
     def test_path_depends_only_on_seed_and_index(self):
         # path i is unchanged when the ensemble grows
         params = GbmParams(100.0, 0.0004, 0.01)
-        small = simulate_ensemble(params, 3, 40, 77)
-        large = simulate_ensemble(params, 10, 40, 77)
+        small = simulate_ensemble(params, wiener_ensemble(3, 40, 77))
+        large = simulate_ensemble(params, wiener_ensemble(10, 40, 77))
         assert np.array_equal(small.paths, large.paths[:3])
+
+    def test_subjects_share_the_brownian_ensemble(self):
+        # on one W, a subject's log path is its drift plus sigma times W
+        wiener = wiener_ensemble(50, 30, 5)
+        days = np.arange(31)
+        for params in (GbmParams(100.0, 0.0004, 0.01), GbmParams(7.0, -0.002, 0.03)):
+            log_rel = np.log(simulate_ensemble(params, wiener).paths / params.s0)
+            drift = (params.mu - params.sigma**2 / 2) * days
+            np.testing.assert_allclose(log_rel, drift + params.sigma * wiener.T, rtol=0, atol=1e-14)
+
+    def test_wiener_draw_keeps_only_w(self):
+        # the uniform block lives only while W is drawn
+        tracemalloc.start()
+        try:
+            wiener = wiener_ensemble(1000, 247, 5)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current <= 1.01 * wiener.nbytes
+        assert peak <= 2.05 * wiener.nbytes
 
 
 class TestDrawArrays:
-    """simulate_ensemble's `out`: drawing into reused arrays changes no path."""
+    """simulate_ensemble's `out`: pricing into a reused array changes no path."""
 
     PARAMS = GbmParams(100.0, 0.0004, 0.01)
 
     def test_draws_without_out_share_no_memory(self):
-        config = (50, 30, 1)
-        first = simulate_ensemble(self.PARAMS, *config)
-        second = simulate_ensemble(self.PARAMS, *config)
+        wiener = wiener_ensemble(50, 30, 1)
+        first = simulate_ensemble(self.PARAMS, wiener)
+        second = simulate_ensemble(self.PARAMS, wiener)
         assert not np.shares_memory(first.paths, second.paths)
+        assert not np.shares_memory(first.paths, wiener)
 
     @pytest.mark.parametrize("n_paths", N_PATHS)
     @pytest.mark.parametrize("horizon", HORIZONS)
     def test_reused_arrays_give_the_fresh_paths(self, horizon, n_paths):
-        out = ensemble_arrays(n_paths, horizon)
+        out = np.empty((horizon + 1, n_paths))
         for seed in (3, 2**100 + 3, 77):
-            config = (n_paths, horizon, seed)
-            reused = simulate_ensemble(self.PARAMS, *config, out=out)
-            assert np.shares_memory(reused.paths, out[1])
-            assert not reused.paths.flags.writeable and out[1].flags.writeable
-            assert np.array_equal(reused.paths, simulate_ensemble(self.PARAMS, *config).paths)
+            wiener = wiener_ensemble(n_paths, horizon, seed)
+            for params in (self.PARAMS, GbmParams(7.0, -0.002, 0.03)):
+                reused = simulate_ensemble(params, wiener, out=out)
+                assert np.shares_memory(reused.paths, out)
+                assert not reused.paths.flags.writeable and out.flags.writeable
+                assert np.array_equal(reused.paths, simulate_ensemble(params, wiener).paths)
 
-    @pytest.mark.parametrize("shape", [(10, 24), (10, 18), (11, 20)])
+    @pytest.mark.parametrize("shape", [(10, 21), (21, 11), (20, 10)])
     def test_arrays_of_another_shape_are_data_error(self, shape):
         with pytest.raises(DataError, match="shape"):
-            simulate_ensemble(self.PARAMS, 10, 20, 0, out=ensemble_arrays(*shape))
-
-    @pytest.mark.parametrize("which", [0, 1])
-    def test_one_array_of_another_shape_is_data_error(self, which):
-        out = list(ensemble_arrays(10, 20))
-        out[which] = np.empty(out[which].shape[::-1])
-        with pytest.raises(DataError, match="shape"):
-            simulate_ensemble(self.PARAMS, 10, 20, 0, out=tuple(out))
+            simulate_ensemble(self.PARAMS, wiener_ensemble(10, 20, 0), out=np.empty(shape))
 
     def test_reused_draw_allocates_under_a_tenth_of_the_paths(self):
-        config = (1000, 247, 5)
-        out = ensemble_arrays(1000, 247)
-        paths = simulate_ensemble(self.PARAMS, *config, out=out).paths
-        assert peak_allocation(lambda: simulate_ensemble(self.PARAMS, *config, out=out)) < (
+        wiener = wiener_ensemble(1000, 247, 5)
+        out = np.empty(wiener.shape)
+        paths = simulate_ensemble(self.PARAMS, wiener, out=out).paths
+        assert peak_allocation(lambda: simulate_ensemble(self.PARAMS, wiener, out=out)) < (
             0.1 * paths.nbytes
         )
 
@@ -354,7 +400,7 @@ def path_sets(draw):
 
 class TestEnvelope:
     def test_sigma_zero_collapse(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), 20, 10, 1)
+        ps = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), wiener_ensemble(20, 10, 1))
         mean, lower, upper = envelope(ps)
         assert np.array_equal(lower, upper)
         assert np.allclose(mean, ps.paths[0])
@@ -379,7 +425,7 @@ class TestEnvelope:
 
     def test_allocates_at_most_a_tenth_more_than_the_paths(self):
         params = GbmParams(100.0, 0.0004, 0.01)
-        ps = simulate_ensemble(params, 1000, 247, 5)
+        ps = simulate_ensemble(params, wiener_ensemble(1000, 247, 5))
         assert peak_allocation(lambda: envelope(ps)) <= 1.1 * ps.paths.nbytes
 
 
