@@ -5,4 +5,4 @@ The library API is the submodules (gbmfolio.market_data, .stats,
 .portfolio, .gbm, .evaluation); the command line is gbmfolio.cli.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

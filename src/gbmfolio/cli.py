@@ -287,30 +287,27 @@ class Run:
     def forecast(self, subject):
         """Calibrate, simulate and score one subject against realized prices.
 
-        The actual series starts at the last calibration price (the
-        simulation's day 0) and runs max-horizon days beyond it.
+        Day 0 is the subject's last trading day on or before calibration_end,
+        where the simulation starts. The actual series is day 0 and the
+        max-horizon trading days right after it, which must all fall on or
+        before evaluation_end.
         """
         c = self.config
         stats = self.calibration_stats(subject)
         series = self.subject_series(subject)
-        day0 = bisect.bisect_right(series.dates, c.calibration_end) - 1  # last calibration day
-        s0 = float(series.prices[day0])
-        window = self._window(series.dates, "evaluation_start", "evaluation_end", 2, subject)
-        evaluation = slice_period(series, *window)
+        day0 = bisect.bisect_right(series.dates, c.calibration_end) - 1
         longest = max(c.horizons, key=lambda h: h.days)
         max_h = longest.days
-        if len(evaluation) < max_h:
+        after = len(series) - 1 - day0  # the series is already cut at evaluation_end
+        if after < max_h:
             raise SettingsError(
-                f"{subject}: evaluation_start..evaluation_end ({c.evaluation_start}.."
-                f"{c.evaluation_end}) holds {len(evaluation)} trading days, fewer than"
-                f" the longest horizon ({longest.label}, {max_h} days)"
+                f"{subject}: calibration_end..evaluation_end ({c.calibration_end}.."
+                f"{c.evaluation_end}) holds {after} trading days after calibration_end, fewer"
+                f" than the longest horizon ({longest.label}, {max_h} days)"
             )
-        actual = PriceSeries(
-            subject,
-            (series.dates[day0],) + evaluation.dates[:max_h],
-            np.concatenate(([s0], evaluation.prices[:max_h])),
-        )
-        params = GbmParams(s0=s0, mu=stats.mu_daily, sigma=stats.sigma_daily)
+        end = day0 + max_h + 1
+        actual = PriceSeries(subject, series.dates[day0:end], series.prices[day0:end])
+        params = GbmParams(s0=float(actual.prices[0]), mu=stats.mu_daily, sigma=stats.sigma_daily)
         wiener, out = self.ensemble
         paths = simulate_ensemble(params, wiener, out=out)
         report = evaluate_ensemble(paths, actual, c.horizons)

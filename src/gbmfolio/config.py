@@ -14,7 +14,6 @@ class RunConfig:
     out_dir: str = "out"
     calibration_start: dt.date = dt.date(2016, 1, 1)
     calibration_end: dt.date = dt.date(2018, 12, 31)
-    evaluation_start: dt.date = dt.date(2019, 1, 1)
     evaluation_end: dt.date = dt.date(2019, 12, 31)
     risk_free: float = 0.019  # per year
     n_paths: int = 1000
@@ -28,12 +27,13 @@ class RunConfig:
         for key in ("data_dir", "out_dir"):
             if not getattr(self, key):
                 raise SettingsError(f"{key} is empty; name a directory (. for the current one)")
-        for window in ("calibration", "evaluation"):
-            start, end = getattr(self, f"{window}_start"), getattr(self, f"{window}_end")
-            if start > end:
-                raise SettingsError(f"{window}_start {start} is after {window}_end {end}")
-        if self.calibration_end >= self.evaluation_start:
-            raise SettingsError("calibration window must end before evaluation window starts")
+        start, end = self.calibration_start, self.calibration_end
+        if start > end:
+            raise SettingsError(f"calibration_start {start} is after calibration_end {end}")
+        if end >= self.evaluation_end:
+            raise SettingsError(
+                f"calibration_end {end} is on or after evaluation_end {self.evaluation_end}"
+            )
         if self.n_paths < 1 or self.n_trials < 1:
             raise SettingsError("paths and trials must be >= 1")
         if self.group_count < 1 or self.group_size < 1:

@@ -126,6 +126,7 @@ def optimize_max_sharpe(panel, n_trials, seed, risk_free, block_size=8192):
     best_sharpe = -math.inf
     best_weights = None
     best_ret = best_risk = 0.0
+    any_risk = False  # some trial has positive risk
     for first in range(0, n_trials + 1, block_size):
         count = min(block_size, n_trials + 1 - first)
         block = trial_weights(seed, first, count, n)
@@ -134,15 +135,18 @@ def optimize_max_sharpe(panel, n_trials, seed, risk_free, block_size=8192):
             raise DataError("trial weights are not nonnegative fractions summing to 1")
         ret, risk = trial_stats(block, mu_daily, cov_daily)
         ok = risk > 0
-        if ok.any():
-            sharpe = np.where(ok, (ret - risk_free) / np.where(ok, risk, 1.0), -math.inf)
-            k = int(np.argmax(sharpe))
-            if sharpe[k] > best_sharpe:
-                best_sharpe = float(sharpe[k])
-                best_weights = block[k].copy()
-                best_ret, best_risk = float(ret[k]), float(risk[k])
+        any_risk = any_risk or bool(ok.any())
+        sharpe = (ret - risk_free) / np.where(ok, risk, 1.0)
+        sharpe[~(ok & np.isfinite(sharpe))] = -math.inf  # only a finite Sharpe can win
+        k = int(np.argmax(sharpe))
+        if sharpe[k] > best_sharpe:
+            best_sharpe = float(sharpe[k])
+            best_weights = block[k].copy()
+            best_ret, best_risk = float(ret[k]), float(risk[k])
 
     if best_weights is None:
+        if any_risk:
+            raise NumericError(f"no trial has a finite Sharpe at risk_free {risk_free}")
         raise NumericError("undefined Sharpe for every trial (zero variance)")
     return Weights(best_weights), PortfolioStats(best_ret, best_risk, best_sharpe)
 

@@ -56,4 +56,6 @@ def asset_stats(series, risk_free):
     sharpe = None
     if risk_annual > 0:
         sharpe = sharpe_ratio(return_annual, risk_annual, risk_free)
+        if not math.isfinite(sharpe):
+            raise NumericError(f"{series.ticker}: Sharpe is not finite at risk_free {risk_free}")
     return AssetStats(series.ticker, mu_daily, sigma_daily, return_annual, risk_annual, sharpe)

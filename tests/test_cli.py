@@ -265,8 +265,9 @@ class TestSimulate:
             rc = run(universe_dir, out, *argv, "--paths", "10", "simulate", "--subject", "SYN00")
             assert rc == 2
             assert capsys.readouterr().err == (
-                "data error: SYN00: evaluation_start..evaluation_end (2019-01-01..2019-03-01)"
-                f" holds 44 trading days, fewer than the longest horizon (1y, 247 days){suffix}\n"
+                "data error: SYN00: calibration_end..evaluation_end (2018-12-31..2019-03-01)"
+                " holds 44 trading days after calibration_end, fewer than the longest horizon"
+                f" (1y, 247 days){suffix}\n"
             )
             assert not out.exists()
 
@@ -357,6 +358,11 @@ class TestUsageAndConfig:
             (["--mape-denominator", "forecast"], 1, "error: unrecognized arguments: --mape-denom"),
             # an unknown option before the subcommand is named, not its value
             (["--sed", "5"], 1, "error: unrecognized arguments: --sed"),
+            # day 0 is the last day on or before calibration_end, and no longer a setting
+            (
+                ["--evaluation-start", "2019-01-01"], 1,
+                "error: unrecognized arguments: --evaluation-start",
+            ),
         ],
     )
     def test_bad_flag_value_exits_without_traceback(
@@ -395,19 +401,19 @@ class TestUsageAndConfig:
         assert not (tmp_path / "report_SYN00.csv").exists()
 
     def test_flags_complete_the_windows_of_a_config_file(self, universe_dir, tmp_path):
-        # the file alone ends calibration after the default evaluation start
+        # the file alone ends calibration on the default evaluation end
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("calibration_start = 2016-07-01\ncalibration_end = 2019-06-28\n")
+        cfg.write_text("calibration_start = 2016-07-01\ncalibration_end = 2019-12-31\n")
         rc, stderr = run_process(
             "--config", str(cfg), "--data-dir", str(universe_dir), "--out-dir", str(tmp_path),
-            "--evaluation-start", "2019-07-01", "stats", "SYN00",
+            "--evaluation-end", "2020-06-30", "stats", "SYN00",
         )
         assert rc == 0, stderr
         config = json.loads((tmp_path / "run_manifest.json").read_text())["config"]
         assert (config["calibration_start"], config["calibration_end"]) == (
-            "2016-07-01", "2019-06-28"
+            "2016-07-01", "2019-12-31"
         )
-        assert config["evaluation_start"] == "2019-07-01"
+        assert config["evaluation_end"] == "2020-06-30"
 
     def test_a_bad_value_from_a_config_file_names_the_file(self, universe_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -440,6 +446,17 @@ class TestUsageAndConfig:
         out = tmp_path / "out"
         assert run(universe_dir, out, "--config", str(cfg), "stats", "SYN00") == 2
         assert capsys.readouterr().err == f"data error: {cfg}:2: bad value for horizons: {error}\n"
+        assert not out.exists()
+
+    def test_an_evaluation_start_line_is_a_bad_config_line(self, universe_dir, tmp_path, capsys):
+        # version 0.8.0 removed the setting; old files must drop the line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nevaluation_start = 2019-01-01\n")
+        out = tmp_path / "out"
+        assert run(universe_dir, out, "--config", str(cfg), "stats", "SYN00") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {cfg}:2: bad config line 'evaluation_start = 2019-01-01'\n"
+        )
         assert not out.exists()
 
     def test_bad_config_value_is_data_error(self, universe_dir, tmp_path):
@@ -507,50 +524,59 @@ class TestUsageAndConfig:
 
     @pytest.mark.parametrize(
         "window, start, end",
-        [("calibration", "2018-12-31", "2016-01-01"), ("evaluation", "2019-12-31", "2019-01-01")],
+        [
+            ("calibration", "2018-12-31", "2016-01-01"),
+            ("evaluation", "2019-12-31", "2019-01-01"),
+            ("evaluation", "2019-06-28", "2019-06-28"),  # no day after day 0
+        ],
     )
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_a_reversed_window_names_its_settings(
         self, universe_dir, tmp_path, capsys, window, start, end, route
     ):
-        dates = {f"{window}_start": start, f"{window}_end": end}
-        argv, suffix = settings_argv(tmp_path, dates, route)
+        # the evaluation window runs from day 0, on calibration_end, to evaluation_end
+        first, last, relation = {
+            "calibration": ("calibration_start", "calibration_end", "is after"),
+            "evaluation": ("calibration_end", "evaluation_end", "is on or after"),
+        }[window]
+        argv, suffix = settings_argv(tmp_path, {first: start, last: end}, route)
         out = tmp_path / "out"
         assert run(universe_dir, out, *argv, "stats", "SYN00") == 2
         assert capsys.readouterr().err == (
-            f"data error: {window}_start {start} is after {window}_end {end}{suffix}\n"
+            f"data error: {first} {start} {relation} {last} {end}{suffix}\n"
         )
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "settings, named, days, command",
+        "settings, message, command",
         [
             (
                 {"calibration_start": "2018-12-31", "calibration_end": "2018-12-31"},
-                ("calibration_start", "calibration_end"),
-                3,
+                "calibration_start..calibration_end (2018-12-31..2018-12-31)"
+                " holds fewer than 3 trading days",
                 ["stats", "SYN00"],
             ),
             (
                 # two prices are one log return, too few for a sample std
                 {"calibration_start": "2018-12-27", "calibration_end": "2018-12-28"},
-                ("calibration_start", "calibration_end"),
-                3,
+                "calibration_start..calibration_end (2018-12-27..2018-12-28)"
+                " holds fewer than 3 trading days",
                 ["stats", "SYN00"],
             ),
             (
-                {"evaluation_start": "2019-12-31", "evaluation_end": "2019-12-31"},
-                ("evaluation_start", "evaluation_end"),
-                2,
-                ["--paths", "10", "simulate", "--subject", "SYN00"],
+                # the universe's last two days, 2019-12-27 and 2019-12-30, follow day 0
+                {"calibration_end": "2019-12-26", "evaluation_end": "2019-12-31"},
+                "calibration_end..evaluation_end (2019-12-26..2019-12-31) holds 2 trading days"
+                " after calibration_end, fewer than the longest horizon (1w, 5 days)",
+                ["--paths", "10", "--horizons", "1d:1,1w:5", "simulate", "--subject", "SYN00"],
             ),
             (
                 {
                     "calibration_start": "2020-01-01", "calibration_end": "2020-01-31",
-                    "evaluation_start": "2020-02-03", "evaluation_end": "2020-03-31",
+                    "evaluation_end": "2020-03-31",
                 },
-                ("calibration_start", "evaluation_end"),
-                2,
+                "calibration_start..evaluation_end (2020-01-01..2020-03-31)"
+                " holds fewer than 2 trading days",
                 ["stats", "SYN00"],
             ),
         ],
@@ -558,16 +584,12 @@ class TestUsageAndConfig:
     )
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_a_window_too_short_for_a_ticker_names_its_settings(
-        self, universe_dir, tmp_path, capsys, settings, named, days, command, route
+        self, universe_dir, tmp_path, capsys, settings, message, command, route
     ):
-        first, last = named
         argv, suffix = settings_argv(tmp_path, settings, route)
         out = tmp_path / "out"
         assert run(universe_dir, out, *argv, *command) == 2
-        assert capsys.readouterr().err == (
-            f"data error: SYN00: {first}..{last} ({settings[first]}..{settings[last]})"
-            f" holds fewer than {days} trading days{suffix}\n"
-        )
+        assert capsys.readouterr().err == f"data error: SYN00: {message}{suffix}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("route", ["flag", "config"])
@@ -767,7 +789,6 @@ SETTING_TEXTS = {
     "out_dir": "results",
     "calibration_start": "2015-06-01",
     "calibration_end": "2018-06-29",
-    "evaluation_start": "2019-02-01",
     "evaluation_end": "2019-06-28",
     "risk_free": "0.025",
     "n_paths": "17",
@@ -951,10 +972,10 @@ def window_universe(tmp_path_factory):
 
 
 # calibration_start from a little before the universe to past its end, then the
-# gaps to calibration_end, evaluation_start and evaluation_end: short windows,
+# gaps to calibration_end and evaluation_end: short windows,
 # windows off the data and windows that touch or overlap are all drawn
 WINDOW_START = st.integers(-30, 1500).map(lambda k: dt.date(2016, 1, 4) + dt.timedelta(days=k))
-WINDOW_GAPS = st.lists(st.integers(0, 7) | st.integers(0, 500), min_size=3, max_size=3)
+WINDOW_GAPS = st.lists(st.integers(0, 7) | st.integers(0, 500), min_size=2, max_size=2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -971,7 +992,7 @@ def test_any_window_is_a_clean_run_or_one_data_error(
     dates = [start]
     for gap in gaps:
         dates.append(dates[-1] + dt.timedelta(days=gap))
-    keys = ("calibration-start", "calibration-end", "evaluation-start", "evaluation-end")
+    keys = ("calibration-start", "calibration-end", "evaluation-end")
     out = tmp_path_factory.mktemp("out")
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):  # any exception fails: it would be a traceback
@@ -988,6 +1009,44 @@ def test_any_window_is_a_clean_run_or_one_data_error(
     else:
         assert code == 2
         assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+
+
+def test_a_forecast_is_scored_on_the_days_right_after_calibration_end(
+    window_universe, tmp_path
+):
+    # evaluation_end is half a year on: day k of every forecast is still the
+    # k-th trading day after day 0, the last day on or before calibration_end
+    flags = ("--group-count", "3", "--group-size", "2", "--paths", "10", "--trials", "10")
+    assert run(window_universe, tmp_path, *flags, "--calibration-end", "2018-06-29", "report") == 0
+    prices = {
+        p.stem: {r["Date"]: float(r["Adj Close"]) for r in read_rows(p)}
+        for p in window_universe.glob("*.csv")
+    }
+    days = sorted(d for d in prices["SYN00"] if d >= "2018-06-29")[:248]
+    members = [r["ticker"] for r in read_rows(tmp_path / "groups_risk.csv") if r["group"] == "1"]
+    start = min(prices["SYN00"])  # each ticker is priced on every weekday
+    for subject, value in [
+        ("SYN00", lambda day: prices["SYN00"][day]),
+        # risk groups hold equal weights, bought on calibration_start for 100 a member
+        ("risk-1", lambda day: sum(100 * prices[t][day] / prices[t][start] for t in members)),
+    ]:
+        rows = read_rows(tmp_path / f"envelope_{subject}.csv")
+        assert [(int(r["day_index"]), r["date"]) for r in rows] == list(enumerate(days)), subject
+        for r in rows:
+            assert float(r["actual"]) == pytest.approx(value(r["date"]), rel=1e-11), subject
+
+
+@pytest.mark.parametrize("command", [("stats",), ("group", "--metric", "sharpe"), ("report",)])
+def test_an_overflowing_sharpe_is_a_numeric_error(window_universe, tmp_path, capsys, command):
+    # (return - 1e308) / risk is -inf for a ticker whose annual risk is below 1: SYN01
+    # is the first; SYN00's risk is above 1, so its Sharpe is about -1.78e308
+    flags = ("--group-count", "3", "--group-size", "2", "--paths", "10", "--trials", "10")
+    code = run(window_universe, tmp_path / "out", *flags, "--risk-free", "1e308", *command)
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numeric error: SYN01: Sharpe is not finite at risk_free 1e+308\n"
+    )
+    assert not any("inf" in p.read_text() for p in (tmp_path / "out").glob("*.csv"))
 
 
 class TestReport:

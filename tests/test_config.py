@@ -31,10 +31,17 @@ class TestRunConfig:
         assert RunConfig(horizons=horizons).horizons == horizons
 
     def test_a_window_may_start_and_end_on_one_day(self):
-        day = dt.date(2019, 6, 28)
-        assert RunConfig(evaluation_start=day, evaluation_end=day).evaluation_end == day
-        with pytest.raises(DataError, match="evaluation_start 2019-06-28 is after evaluation_end"):
-            RunConfig(evaluation_start=day, evaluation_end=day - dt.timedelta(days=1))
+        day = dt.date(2018, 6, 29)
+        assert RunConfig(calibration_start=day, calibration_end=day).calibration_end == day
+        with pytest.raises(DataError, match="calibration_start 2018-06-29 is after calibration_end"):
+            RunConfig(calibration_start=day, calibration_end=day - dt.timedelta(days=1))
+        # evaluation runs over the days after calibration_end, so it needs one at least
+        next_day = day + dt.timedelta(days=1)
+        assert RunConfig(calibration_end=day, evaluation_end=next_day).evaluation_end == next_day
+        with pytest.raises(
+            DataError, match="calibration_end 2018-06-29 is on or after evaluation_end 2018-06-29"
+        ):
+            RunConfig(calibration_end=day, evaluation_end=day)
 
 
 class TestLoadConfig:

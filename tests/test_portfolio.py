@@ -233,8 +233,15 @@ class TestOptimizeMaxSharpe:
 
     def test_all_trials_undefined(self):
         panel = panel_from_columns({"A": [5, 5, 5, 5]})
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match=r"every trial \(zero variance\)$"):
             optimize_max_sharpe(panel, 10, seed=0, risk_free=RISK_FREE)
+
+    def test_an_overflowing_sharpe_names_risk_free_not_variance(self, rng):
+        # every trial has positive risk, and (return - 1e308) / risk is -inf
+        panel = panel_from_columns({f"T{i}": gbm_prices(rng, 60, 0.001, 0.02) for i in range(3)})
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as exc:
+            optimize_max_sharpe(panel, 10, seed=0, risk_free=1e308)
+        assert str(exc.value) == "no trial has a finite Sharpe at risk_free 1e+308"
 
 
 class TestTrialStream:

@@ -79,6 +79,13 @@ class TestSharpe:
         with pytest.raises(NumericError, match="undefined Sharpe"):
             sharpe_ratio(0.1, 0.0, 0.019)
 
+    def test_an_overflowing_sharpe_is_a_numeric_error(self, rng):
+        # annual risk below 1, so (return - 1e308) / risk overflows to -inf
+        s = series(100 * np.exp(np.cumsum(0.01 * rng.standard_normal(60))), "A")
+        with pytest.raises(NumericError) as exc:
+            asset_stats(s, 1e308)
+        assert str(exc.value) == "A: Sharpe is not finite at risk_free 1e+308"
+
 
 class TestProperties:
     def test_taylor_bound(self, rng):
