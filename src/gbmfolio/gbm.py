@@ -69,24 +69,6 @@ class PathSet:
         object.__setattr__(self, "paths", paths)
 
 
-def gbm_paths(s0, mu, sigma, dt, normals):
-    """Closed-form GBM paths from pre-drawn standard normals, time-major.
-
-    normals has shape (horizon, n_paths), one row per step; the result, a
-    fresh array, has shape (horizon + 1, n_paths) with row 0 fixed at s0.
-    """
-    normals = np.asarray(normals, dtype=float)
-    out = np.empty((normals.shape[0] + 1, normals.shape[1]))
-    out[0] = s0
-    log_rel = out[1:]
-    np.multiply(normals, sigma * np.sqrt(dt), out=log_rel)
-    log_rel += (mu - 0.5 * sigma * sigma) * dt
-    np.cumsum(log_rel, axis=0, out=log_rel)
-    np.exp(log_rel, out=log_rel)
-    log_rel *= s0
-    return out
-
-
 def box_muller(uniforms, horizon, out=None, scratch=None):
     """The first `horizon` normals of each column of 2*ceil(horizon/2) uniforms.
 

@@ -628,6 +628,9 @@ class TestUsageAndConfig:
             (["--h", "1w:5", "stats", "SYN00"], "unrecognized arguments: --h"),
             (["group", "--met", "sharpe"], "the following arguments are required: --metric"),
             (["simulate", "--sub", "SYN00"], "the following arguments are required: --subject"),
+            # -1e-3 is read as a value, but an option never is
+            (["--risk-free", "--seed", "3", "stats"], "argument --risk-free: expected one argument"),
+            (["--sed", "5", "stats"], "unrecognized arguments: --sed"),
         ],
     )
     def test_an_option_is_spelled_in_full(self, universe_dir, tmp_path, capsys, argv, message):
@@ -638,6 +641,15 @@ class TestUsageAndConfig:
         assert exc.value.code == 1
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
         assert not out.exists()
+
+    def test_a_negative_value_in_exponent_form_is_a_value(self, universe_dir, tmp_path):
+        # argparse's own pattern for negative numbers takes -1e-3 for an option
+        assert run(universe_dir, tmp_path / "spaced", "--risk-free", "-1e-3", "stats") == 0
+        assert run(universe_dir, tmp_path / "joined", "--risk-free=-1e-3", "stats") == 0
+        stats = (tmp_path / "spaced" / "stats.csv").read_bytes()
+        assert stats == (tmp_path / "joined" / "stats.csv").read_bytes()
+        manifest = json.loads((tmp_path / "spaced" / "run_manifest.json").read_text())
+        assert manifest["config"]["risk_free"] == -0.001
 
     @pytest.mark.parametrize(
         "option, argv",

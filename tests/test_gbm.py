@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import hashlib
 import math
@@ -15,7 +16,6 @@ from gbmfolio.gbm import (
     PathSet,
     box_muller,
     envelope,
-    gbm_paths,
     simulate_ensemble,
     wiener_ensemble,
 )
@@ -65,7 +65,7 @@ class TestWienerIncrements:
 
 
 class TestGbmPath:
-    """One path: row 0 of a one-path ensemble, or of gbm_paths on given normals."""
+    """One path: row 0 of a one-path ensemble."""
 
     def test_sigma_zero_drift(self):
         path = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), wiener_ensemble(1, 2, 0)).paths[0]
@@ -75,10 +75,10 @@ class TestGbmPath:
         path = simulate_ensemble(GbmParams(100.0, 0.0, 0.0), wiener_ensemble(1, 10, 0)).paths[0]
         assert np.all(path == 100.0)
 
-    def test_log_increment_moments(self, rng):
+    def test_log_increment_moments(self):
         # Fig-2-scale parameters: mu = 0.0004, sigma = 0.01
         mu, sigma, n = 0.0004, 0.01, 100_000
-        path = gbm_paths(100.0, mu, sigma, 1.0, rng.standard_normal((n, 1)))[:, 0]
+        path = simulate_ensemble(GbmParams(100.0, mu, sigma), wiener_ensemble(1, n, 0)).paths[0]
         inc = np.diff(np.log(path))
         se = sigma / math.sqrt(n)
         assert abs(inc.mean() - (mu - sigma**2 / 2)) <= 5 * se
@@ -113,19 +113,6 @@ class TestGbmPath:
 
 
 class TestGbmPaths:
-    def test_closed_form_oracle(self, rng):
-        # S(k) = s0 * exp(sum_{j<=k} (mu - sigma^2/2) dt + sigma sqrt(dt) z_j), step by step
-        s0, mu, sigma, dt = 50.0, 0.001, 0.02, 0.5
-        normals = rng.standard_normal((10, 3))  # time-major: one row per step
-        out = gbm_paths(s0, mu, sigma, dt, normals)
-        assert out.shape == (11, 3)
-        for i in range(3):
-            assert out[0, i] == s0
-            log_rel = 0.0
-            for k in range(10):
-                log_rel += (mu - sigma * sigma / 2) * dt + sigma * math.sqrt(dt) * normals[k, i]
-                assert out[k + 1, i] == pytest.approx(s0 * math.exp(log_rel), rel=1e-12)
-
     def test_ensemble_closed_form_oracle(self, rng):
         # S(k) = s0 * exp((mu - sigma^2/2) dt k + sigma sqrt(dt) W(k)) on a given W
         params = GbmParams(50.0, 0.001, 0.02, dt=0.5)
@@ -425,6 +412,28 @@ class TestEnvelope:
 
 
 class TestSyntheticUniverse:
+    def test_closed_form_oracle(self, tmp_path):
+        # S(k) = s0 * exp(sum_{j<=k} (mu - sigma^2/2) + sigma z_j), step by step, with
+        # each ticker's mu, sigma, s0 and normals drawn again in make_universe's order
+        tickers = make_universe(
+            tmp_path, n_assets=3, start=dt.date(2019, 1, 1), end=dt.date(2019, 3, 29), seed=7
+        )
+        for i, ticker in enumerate(tickers):
+            with open(tmp_path / f"{ticker}.csv", newline="") as fh:
+                prices = [float(row["Adj Close"]) for row in csv.DictReader(fh)]
+            rng = np.random.default_rng([7, i])
+            mu = rng.uniform(-0.001, 0.002)
+            sigma = rng.uniform(0.005, 0.035)
+            s0 = rng.uniform(5.0, 80.0)
+            z = rng.standard_normal(len(prices) - 1)
+            log_rel = 0.0
+            for k, price in enumerate(prices):
+                if k:
+                    log_rel += (mu - sigma * sigma / 2) + sigma * z[k - 1]
+                expected = s0 * math.exp(log_rel)
+                # printed to 6 decimals, and np.exp may differ from math.exp by an ulp
+                assert abs(price - expected) <= 0.5e-6 + 1e-12 * expected, (ticker, k)
+
     def test_files_pinned(self, tmp_path):
         # the files as version 0.3.0 first wrote them: the fixture prices never move
         tickers = make_universe(

@@ -157,6 +157,16 @@ def test_entry_points_exist():
     assert TEST_PARAMETERS <= set(defaulted_parameters(modules()))
 
 
+def test_the_fixture_imports_nothing_from_the_package():
+    # perfbench builds its inputs with make_universe from the tree under test, so an
+    # edit to the pipeline must not move them
+    for node in ast.walk(modules()["synthetic"]):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "gbmfolio", ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "gbmfolio" for a in node.names), ast.unparse(node)
+
+
 def test_init_holds_only_the_docstring_and_version():
     body = modules()["__init__"].body
     assert len(body) == 2

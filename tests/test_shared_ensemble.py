@@ -7,6 +7,7 @@ depend on the subject's name.
 
 import shutil
 
+import numpy as np
 import pytest
 
 from gbmfolio import cli
@@ -50,6 +51,23 @@ def test_a_run_draws_the_ensemble_at_most_once(
     monkeypatch.setattr(cli, "wiener_ensemble", counted)
     assert run(universe_dir, tmp_path, *command) == 0
     assert len(calls) == draws
+
+
+def test_every_forecast_is_priced_into_one_work_array(universe_dir, tmp_path, monkeypatch):
+    # fresh arrays give the same bytes, but their page faults slow a run (Run.ensemble)
+    calls = []
+    original = cli.simulate_ensemble
+
+    def recorded(params, wiener, out=None):
+        calls.append((wiener, out))
+        return original(params, wiener, out=out)
+
+    monkeypatch.setattr(cli, "simulate_ensemble", recorded)
+    assert run(universe_dir, tmp_path, "simulate", "--subject", "all") == 0
+    assert len(calls) == 6 + 3 * 3  # each ticker, then each group
+    wiener, out = calls[0]
+    assert out is not None and not np.shares_memory(out, wiener)
+    assert all(w is wiener and o is out for w, o in calls)
 
 
 def test_a_copied_ticker_forecasts_as_its_original(universe_dir, tmp_path):
