@@ -378,7 +378,7 @@ class Run:
 
     def write_all_forecasts(self):
         """Every ticker, then every ranked group, plus summary.csv."""
-        groups = tuple(f"{m}-{i + 1}" for m in METRICS for i in range(self.config.group_count))
+        groups = tuple(g.name for m in METRICS for g in self.groups(m))
         subjects = self.tickers + groups
         reports = [self.write_forecast(subject) for subject in subjects]
         rows = _summary_rows(subjects, reports)
@@ -439,8 +439,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
-        # argparse's own pattern takes a value such as -1e-3 for an option
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # argparse's own pattern takes a value such as -1e-3, -inf or -nan for an option
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

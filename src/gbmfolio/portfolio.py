@@ -14,9 +14,11 @@ import numpy as np
 
 from .errors import DataError, NumericError, SettingsError
 from .market_data import TRADING_DAYS_PER_YEAR, PriceSeries
+from .stats import log_returns
 from .streams import uniform_rows
 
 WEIGHT_SUM_TOL = 1e-9
+TRIAL_BLOCK = 8192  # trials scored per pass; the result does not depend on it
 
 
 @dataclass(frozen=True)
@@ -57,28 +59,20 @@ def portfolio_value_series(panel, weights, capital, name="portfolio"):
     return PriceSeries(name, panel.dates, values)
 
 
-def _normalize_rows(u):
-    """Divide each row of uniforms by its sum, in place.
-
-    A row summing to 0 (probability zero, but keep the contract total)
-    becomes equal weights.
-    """
-    total = u.sum(axis=1)
-    zero = total == 0.0
-    if zero.any():
-        u[zero] = 1.0
-        total[zero] = u.shape[1]
-    u /= total[:, None]
-    return u
-
-
 def trial_weights(seed, first, count, n_assets):
     """Weights of trials first .. first+count-1, shape (count, n_assets).
 
     Trial 0 is the equal-weight portfolio; trial i >= 1 is row i of the
-    seed's stream (streams.uniform_rows), normalized by its sum.
+    seed's stream (streams.uniform_rows) over its sum, or equal weights
+    where that sum is 0 (probability zero, but keep the contract total).
     """
-    block = _normalize_rows(uniform_rows(seed, first, count, n_assets))
+    block = uniform_rows(seed, first, count, n_assets)
+    total = block.sum(axis=1)
+    zero = total == 0.0
+    if zero.any():
+        block[zero] = 1.0
+        total[zero] = n_assets
+    block /= total[:, None]
     if first == 0:
         block[0] = 1.0 / n_assets
     return block
@@ -104,13 +98,13 @@ def _calibrate(panel):
     """Mean vector and sample covariance of daily log returns."""
     if panel.matrix.shape[0] < 3:
         raise DataError("panel needs at least 3 dates for covariance")
-    log_rets = np.diff(np.log(panel.matrix), axis=0)
+    log_rets = log_returns(panel.matrix)
     mu_daily = log_rets.mean(axis=0)
     cov_daily = np.cov(log_rets, rowvar=False, ddof=1).reshape(len(panel.tickers), -1)
     return mu_daily, cov_daily
 
 
-def optimize_max_sharpe(panel, n_trials, seed, risk_free, block_size=8192):
+def optimize_max_sharpe(panel, n_trials, seed, risk_free):
     """Best Sharpe among random-weight trials plus the equal-weight baseline.
 
     Trial 0 is always the equal-weight portfolio, so the result can never
@@ -118,8 +112,8 @@ def optimize_max_sharpe(panel, n_trials, seed, risk_free, block_size=8192):
     (trial_weights): it depends on (seed, i) alone, so the result is the
     same for every block size.
     """
-    if n_trials < 1 or block_size < 1:
-        raise DataError("need at least one trial and a block size >= 1")
+    if n_trials < 1:
+        raise DataError("need at least one trial")
     n = len(panel.tickers)
     mu_daily, cov_daily = _calibrate(panel)
 
@@ -127,8 +121,8 @@ def optimize_max_sharpe(panel, n_trials, seed, risk_free, block_size=8192):
     best_weights = None
     best_ret = best_risk = 0.0
     any_risk = False  # some trial has positive risk
-    for first in range(0, n_trials + 1, block_size):
-        count = min(block_size, n_trials + 1 - first)
+    for first in range(0, n_trials + 1, TRIAL_BLOCK):
+        count = min(TRIAL_BLOCK, n_trials + 1 - first)
         block = trial_weights(seed, first, count, n)
         # the Weights contract, checked once per block; a NaN fails it
         if not ((block >= 0).all() and (np.abs(block.sum(axis=1) - 1.0) <= WEIGHT_SUM_TOL).all()):

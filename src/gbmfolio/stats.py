@@ -29,10 +29,9 @@ class AssetStats:
     sharpe: float | None
 
 
-def log_returns(series):
-    """ln(P1 / P0) for each consecutive price pair; additive over windows."""
-    p = series.prices
-    return np.log(p[1:] / p[:-1])
+def log_returns(prices):
+    """ln(P1 / P0) for each consecutive pair of rows (days); additive over windows."""
+    return np.log(prices[1:] / prices[:-1])
 
 
 def sharpe_ratio(return_annual, risk_annual, risk_free):
@@ -44,7 +43,7 @@ def sharpe_ratio(return_annual, risk_annual, risk_free):
 
 def asset_stats(series, risk_free):
     """All per-asset statistics in one pass over the daily log returns."""
-    rets = log_returns(series)
+    rets = log_returns(series.prices)
     if len(rets) < 2:
         raise DataError(f"{series.ticker}: need at least 3 prices for stats")
     mu_daily = float(np.mean(rets))

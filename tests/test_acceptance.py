@@ -87,7 +87,7 @@ def test_05_taylor_bound():
     p0 = rng.uniform(1, 1000, 10_000)
     rs = rng.uniform(-0.1, 0.1, 10_000)
     pairs = np.column_stack([p0, p0 * (1 + rs)]).ravel()
-    rlog = log_returns(series(pairs))[::2]  # within each (P0, P1) pair
+    rlog = log_returns(pairs)[::2]  # within each (P0, P1) pair
     assert np.all(np.abs(rlog - rs) <= rs * rs + 1e-15)
     ok("criterion 5: |R_log - R_s| <= R_s^2 for 1e4 random pairs with |R_s| <= 0.1")
 

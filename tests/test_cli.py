@@ -363,6 +363,14 @@ class TestUsageAndConfig:
                 ["--evaluation-start", "2019-01-01"], 1,
                 "error: unrecognized arguments: --evaluation-start",
             ),
+            # -inf, -Infinity and -nan are values, so the check that follows names them
+            (["--risk-free", "-inf"], 2, "data error: risk_free must be finite, got -inf"),
+            (["--risk-free", "-Infinity"], 2, "data error: risk_free must be finite"),
+            (["--risk-free", "-nan"], 2, "data error: risk_free must be finite"),
+            (
+                ["--seed", "-inf"], 1,
+                "error: argument --seed: invalid literal for int() with base 10: '-inf'",
+            ),
         ],
     )
     def test_bad_flag_value_exits_without_traceback(
@@ -616,6 +624,18 @@ class TestUsageAndConfig:
         assert capsys.readouterr().err == (
             "data error: universe of 6 tickers does not split into group_count 4 x group_size 2"
             f"{suffix}\n"
+        )
+        assert not out.exists()
+
+    def test_simulate_all_on_a_universe_that_does_not_split_writes_nothing(
+        self, universe_dir, tmp_path, capsys
+    ):
+        # the groups are ranked before the first forecast is written
+        out = tmp_path / "out"
+        flags = ("--group-count", "4", "--group-size", "2", "--paths", "10", "--trials", "5")
+        assert run(universe_dir, out, *flags, "simulate", "--subject", "all") == 2
+        assert capsys.readouterr().err == (
+            "data error: universe of 6 tickers does not split into group_count 4 x group_size 2\n"
         )
         assert not out.exists()
 

@@ -64,6 +64,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="header"):
             load_csv(path, "A")
 
+    def test_a_file_without_adj_close_loads_its_close_column(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("Date,Open,Close\n2019-01-02,9.0,10.0\n2019-01-03,9.5,10.5\n")
+        assert list(load_csv(path, "A").prices) == [10.0, 10.5]
+
+    def test_a_file_without_adj_close_or_close_is_data_error(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("Date,Open,Volume\n2019-01-02,10.0,0\n2019-01-03,10.5,0\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "A")
+        assert str(exc.value) == f"{path}: malformed header, no Adj Close/Close column"
+
     def test_nonpositive_price_dropped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "a.csv"
         write_csv(path, [("2019-01-02", "10.0"), ("2019-01-03", "-1.0"), ("2019-01-04", "11.0")])

@@ -15,7 +15,7 @@ from gbmfolio.portfolio import (
     trial_stats,
     trial_weights,
 )
-from gbmfolio.stats import asset_stats, sharpe_ratio
+from gbmfolio.stats import asset_stats, log_returns, sharpe_ratio
 from gbmfolio.streams import uniform_rows
 
 from conftest import series
@@ -211,11 +211,28 @@ class TestOptimizeMaxSharpe:
         assert np.array_equal(r1[0].values, r2[0].values)
         assert r1[1] == r2[1]
 
-    def test_block_size_does_not_change_result(self, rng):
+    def test_block_size_does_not_change_result(self, rng, monkeypatch):
         panel = panel_from_columns({f"T{i}": gbm_prices(rng, 60, 0.001, 0.02) for i in range(4)})
-        r1 = optimize_max_sharpe(panel, 300, seed=3, risk_free=RISK_FREE, block_size=7)
-        r2 = optimize_max_sharpe(panel, 300, seed=3, risk_free=RISK_FREE, block_size=8192)
+        r2 = optimize_max_sharpe(panel, 300, seed=3, risk_free=RISK_FREE)
+        monkeypatch.setattr(portfolio, "TRIAL_BLOCK", 7)
+        r1 = optimize_max_sharpe(panel, 300, seed=3, risk_free=RISK_FREE)
         assert np.array_equal(r1[0].values, r2[0].values)
+
+    def test_three_blocks_pick_the_argmax_of_one_block(self, rng):
+        # trials 0 .. n_trials span three blocks of TRIAL_BLOCK; scored as one block,
+        # the winner is the argmax of (ret - r_f) / risk
+        n, n_trials = 5, 2 * portfolio.TRIAL_BLOCK + 3615
+        panel = panel_from_columns({f"T{i}": gbm_prices(rng, 120, 0.001, 0.02) for i in range(n)})
+        weights, stats = optimize_max_sharpe(panel, n_trials, seed=13, risk_free=RISK_FREE)
+        log_rets = log_returns(panel.matrix)
+        mu, cov = log_rets.mean(axis=0), np.cov(log_rets, rowvar=False, ddof=1)
+        block = trial_weights(13, 0, n_trials + 1, n)
+        ret, risk = trial_stats(block, mu, cov)
+        sharpe = (ret - RISK_FREE) / risk
+        k = int(np.argmax(sharpe))
+        assert k >= portfolio.TRIAL_BLOCK  # so a later block's best must beat the first's
+        assert np.array_equal(weights.values, block[k])
+        assert stats == PortfolioStats(ret[k], risk[k], sharpe[k])
 
     def test_dominant_asset_gets_nearly_all(self):
         panel = dominant_pair_panel()
@@ -258,10 +275,25 @@ class TestTrialStream:
     def test_trial_zero_is_equal_weight(self):
         assert np.array_equal(trial_weights(5, 0, 3, 4)[0], np.full(4, 0.25))
 
-    def test_block_size_one_equals_8192(self, rng):
+    def test_a_row_summing_to_zero_becomes_equal_weights(self, monkeypatch):
+        def with_a_zero_row(seed, first, count, n_assets):
+            block = uniform_rows(seed, first, count, n_assets)
+            block[2] = 0.0
+            return block
+
+        expected = trial_weights(5, 0, 6, 4)
+        monkeypatch.setattr(portfolio, "uniform_rows", with_a_zero_row)
+        weights = trial_weights(5, 0, 6, 4)
+        assert np.array_equal(weights[2], np.full(4, 0.25))
+        assert np.array_equal(np.delete(weights, 2, axis=0), np.delete(expected, 2, axis=0))
+        assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)
+
+    def test_block_size_one_equals_8192(self, rng, monkeypatch):
         panel = panel_from_columns({f"T{i}": gbm_prices(rng, 60, 0.001, 0.02) for i in range(5)})
-        one = optimize_max_sharpe(panel, 400, seed=8, risk_free=RISK_FREE, block_size=1)
-        big = optimize_max_sharpe(panel, 400, seed=8, risk_free=RISK_FREE, block_size=8192)
+        assert portfolio.TRIAL_BLOCK == 8192
+        big = optimize_max_sharpe(panel, 400, seed=8, risk_free=RISK_FREE)
+        monkeypatch.setattr(portfolio, "TRIAL_BLOCK", 1)
+        one = optimize_max_sharpe(panel, 400, seed=8, risk_free=RISK_FREE)
         assert np.array_equal(one[0].values, big[0].values)
         assert one[1] == big[1]
 

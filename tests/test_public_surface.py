@@ -22,9 +22,6 @@ PACKAGE = Path(gbmfolio.__file__).resolve().parent
 
 # called from outside the package: the console entry point and perfbench's fixture
 ENTRY_POINTS = {"cli.main", "synthetic.make_universe"}
-# defaulted parameters the package never passes, kept for the tests:
-# block_size lets them check that trial i does not depend on the block size
-TEST_PARAMETERS = {"portfolio.optimize_max_sharpe.block_size"}
 
 
 def modules():
@@ -106,7 +103,7 @@ def unpassed_parameters(trees):
     parameters = {
         key: position
         for key, position in defaulted_parameters(trees).items()
-        if key.rpartition(".")[0] not in ENTRY_POINTS and key not in TEST_PARAMETERS
+        if key.rpartition(".")[0] not in ENTRY_POINTS
     }
     return set(parameters) - passed_parameters(trees, parameters)
 
@@ -154,7 +151,6 @@ def test_a_parameter_is_passed_by_position_or_keyword_from_any_module():
 
 def test_entry_points_exist():
     assert ENTRY_POINTS <= public_definitions(modules())
-    assert TEST_PARAMETERS <= set(defaulted_parameters(modules()))
 
 
 def test_the_fixture_imports_nothing_from_the_package():

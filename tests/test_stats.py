@@ -11,19 +11,27 @@ from conftest import series
 
 class TestLogReturns:
     def test_zero(self):
-        assert log_returns(series([100, 100])) == pytest.approx([0.0])
+        assert log_returns(np.asarray([100, 100])) == pytest.approx([0.0])
 
     def test_e(self):
-        assert log_returns(series([100, 100 * math.e])) == pytest.approx([1.0])
+        assert log_returns(np.asarray([100, 100 * math.e])) == pytest.approx([1.0])
 
     def test_ln_1_1(self):
         # oracle: high-precision ln(1.1)
-        assert log_returns(series([100, 110])) == pytest.approx([0.0953101798043], abs=1e-10)
+        assert log_returns(np.asarray([100, 110])) == pytest.approx([0.0953101798043], abs=1e-10)
 
     def test_additivity(self, rng):
         s = series(rng.uniform(5, 50, 30))
-        total = log_returns(s).sum()
+        total = log_returns(s.prices).sum()
         assert total == pytest.approx(math.log(s.prices[-1] / s.prices[0]), rel=1e-10)
+
+    def test_a_price_matrix_gives_each_column_its_own_log_returns(self, rng):
+        # rows are days: the optimizer's panel and one ticker's prices share the formula
+        prices = rng.uniform(5, 50, (250, 13))
+        rets = log_returns(prices)
+        assert rets.shape == (249, 13)
+        for j in range(prices.shape[1]):
+            assert rets[:, j].tobytes() == log_returns(prices[:, j]).tobytes()
 
 
 class TestAnnualize:
@@ -47,7 +55,7 @@ class TestAnnualize:
     def test_two_point_risk(self):
         # oracle: sample std of [0, ln 1.02] = ln(1.02) / sqrt(2) = 0.0140025720
         prices = [100.0, 100.0, 100.0 * 1.02]
-        assert list(log_returns(series(prices))) == pytest.approx([0.0, math.log(1.02)])
+        assert list(log_returns(np.asarray(prices))) == pytest.approx([0.0, math.log(1.02)])
         risk = asset_stats(series(prices), 0.019).risk_annual
         assert risk == pytest.approx(0.0140025720 * math.sqrt(252), abs=1e-6)
         assert risk == pytest.approx(0.222284, abs=1e-6)
@@ -58,7 +66,7 @@ class TestAnnualize:
 
     def test_risk_matches_two_pass_oracle(self, rng):
         s = series(rng.uniform(5, 50, 60))
-        x = log_returns(s)
+        x = log_returns(s.prices)
         mean = sum(x) / len(x)
         var = sum((v - mean) ** 2 for v in x) / (len(x) - 1)
         assert asset_stats(s, 0.019).risk_annual == pytest.approx(math.sqrt(var * 252), rel=1e-12)
@@ -93,7 +101,7 @@ class TestProperties:
         p0 = rng.uniform(10, 100, 10_000)
         rs = rng.uniform(-0.1, 0.1, 10_000)
         p1 = p0 * (1 + rs)
-        rlog = log_returns(series(np.column_stack([p0, p1]).ravel()))[::2]
+        rlog = log_returns(np.column_stack([p0, p1]).ravel())[::2]
         assert np.all(np.abs(rlog - rs) <= rs * rs + 1e-15)
 
     def test_scale_invariance(self, rng):
@@ -104,8 +112,8 @@ class TestProperties:
             assert b.mu_daily == pytest.approx(a.mu_daily, rel=1e-9, abs=1e-12)
             assert b.sigma_daily == pytest.approx(a.sigma_daily, rel=1e-12)
             assert b.sharpe == pytest.approx(a.sharpe, rel=1e-9)
-            ra = log_returns(series(prices))
-            rb = log_returns(series(prices * scale))
+            ra = log_returns(prices)
+            rb = log_returns(prices * scale)
             assert np.allclose(ra, rb, rtol=1e-12, atol=1e-15)
 
     def test_asset_stats_consistency(self, rng):
