@@ -15,11 +15,12 @@ import bisect
 import datetime as dt
 import hashlib
 import json
+import operator
 import platform
 import re
 import sys
 import zlib
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 from functools import cached_property, lru_cache
 from itertools import chain
 from pathlib import Path
@@ -28,7 +29,7 @@ from . import __version__
 from .config import SETTINGS, RunConfig, load_config
 from .errors import DataError, NumericError, SettingsError
 from .evaluation import HorizonResult, evaluate_ensemble
-from .gbm import GbmParams, envelope, simulate_ensemble, wiener_ensemble
+from .gbm import GbmParams, band_index, envelope, simulate_ensemble, wiener_ensemble
 from .market_data import PricePanel, PriceSeries, align_panel, load_csv, slice_panel, slice_period
 from .portfolio import Weights, optimize_max_sharpe, portfolio_value_series, rank_and_group
 from .stats import asset_stats
@@ -39,6 +40,8 @@ import numpy as np
 METRICS = ("return", "risk", "sharpe")
 # report_<subject>.csv's header; summary.csv puts "subject" before it
 REPORT_COLUMNS = [f.name for f in fields(HorizonResult)]
+# a HorizonResult's fields as a row; every field is a scalar, so no deep copy
+_report_row = operator.attrgetter(*REPORT_COLUMNS)
 # envelope_<subject>.csv: its header, and one line per day
 ENVELOPE_HEADER = "day_index,date,actual,mean,q05,q95\n"
 ENVELOPE_ROW = "%d,%s,%.12g,%.12g,%.12g,%.12g\n"
@@ -103,7 +106,7 @@ def _columns(panel, tickers):
 
 def _summary_rows(subjects, reports):
     """One row per subject and horizon, then a MEAN row per horizon."""
-    rows = [(subject, *astuple(r)) for subject, report in zip(subjects, reports) for r in report]
+    rows = [(s, *_report_row(r)) for s, report in zip(subjects, reports) for r in report]
     # final mean row per horizon, the summary-table convention; it is built
     # field by field, so a HorizonResult field without a MEAN rule here fails
     for results in zip(*reports):
@@ -111,7 +114,7 @@ def _summary_rows(subjects, reports):
         mean_corr = sum(corrs) / len(corrs) if corrs else None
         mean_mape = sum(r.mape for r in results) / len(results)
         mean = HorizonResult(results[0].horizon, results[0].days, mean_corr, mean_mape, "")
-        rows.append(("MEAN", *astuple(mean)))
+        rows.append(("MEAN", *_report_row(mean)))
     return rows
 
 
@@ -271,17 +274,19 @@ class Run:
 
     @cached_property
     def ensemble(self):
-        """The run's Brownian ensemble and the work array each forecast is priced into.
+        """The run's Brownian ensemble W, its band_index and the forecasts' work array.
 
         n_paths and the longest horizon are fixed for a run, so one draw of W
-        serves every subject (common random numbers); a forecast is scored
-        and banded before the next overwrites the work array. A fresh array
-        per subject took 12x the minor page faults and slowed forecast-all.
+        and its one ordering serve every subject (common random numbers); a
+        forecast is scored and banded before the next overwrites the work
+        array. A fresh array per subject took 12x the minor page faults and
+        slowed forecast-all.
         """
         n, days = self.config.n_paths, max(h.days for h in self.config.horizons)
         try:
             wiener = wiener_ensemble(n, days, _subject_seed(self.config, "ensemble"))
-            return wiener, np.empty(wiener.shape)
+            # indexed after the uniforms are freed, before the work array is touched
+            return wiener, band_index(wiener), np.empty(wiener.shape)
         except (MemoryError, ValueError):  # ValueError: a shape past NumPy's limit
             raise DataError(f"cannot allocate an ensemble of {n} paths x {days} days") from None
 
@@ -309,10 +314,10 @@ class Run:
         end = day0 + max_h + 1
         actual = PriceSeries(subject, series.dates[day0:end], series.prices[day0:end])
         params = GbmParams(s0=float(actual.prices[0]), mu=stats.mu_daily, sigma=stats.sigma_daily)
-        wiener, out = self.ensemble
+        wiener, index, out = self.ensemble
         paths = simulate_ensemble(params, wiener, out=out)
         report = evaluate_ensemble(paths, actual, c.horizons)
-        band = envelope(paths)
+        band = envelope(paths, index)
         return report, band, actual
 
     # -- outputs ------------------------------------------------------------
@@ -365,7 +370,7 @@ class Run:
 
     def write_forecast(self, subject):
         report, band, actual = self.forecast(subject)
-        self.write_csv(f"report_{subject}.csv", REPORT_COLUMNS, map(astuple, report))
+        self.write_csv(f"report_{subject}.csv", REPORT_COLUMNS, map(_report_row, report))
         rows = zip(
             range(len(actual.dates)),
             map(_day_label, actual.dates),
@@ -424,6 +429,8 @@ def run_command(config, args):
         command = f"simulate-{args.subject}"
     else:
         run = Run(config)
+        for metric in METRICS:  # rank before the first write, so a failed ranking writes nothing
+            run.groups(metric)
         run.write_stats()
         for metric in METRICS:
             run.write_groups(metric)

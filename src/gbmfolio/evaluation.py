@@ -128,8 +128,11 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS):
             ss_a = float(da @ da)
             ss_f = np.einsum("ip,ip->p", df, df)
             # constancy is tested exactly: a constant segment's deviations from
-            # its rounded mean need not be zero, so ss > 0 alone lets it through
-            usable = (ss_f > 0) & (f.max(axis=0) > f.min(axis=0))
+            # its rounded mean need not be zero, so ss > 0 alone lets it through;
+            # a path that moves from day 1 to day 2 is not constant and needs no scan
+            usable = ss_f > 0
+            if (usable & (f[0] == f[1])).any():
+                usable &= f.max(axis=0) > f.min(axis=0)
             if ss_a > 0 and a.max() > a.min() and usable.any():
                 r = (da @ df)[usable] / np.sqrt(ss_f[usable] * ss_a)
                 corr_mean = float(np.clip(r, -1.0, 1.0).mean())

@@ -18,6 +18,11 @@ contiguous (steps, paths) array; every later ufunc then runs over whole
 contiguous rows, where on path-major views NumPy would call its inner
 loop once per path. The PathSet views a priced array transposed, and
 scoring and the band read its rows back as paths.T.
+
+The band is read through W's order: pricing never decreases as W grows,
+so the path of rank k in W at a step has rank k in every ensemble priced
+on that W. band_index orders W once per run; envelope reads a band by
+that index, which holds only for an ensemble priced on the indexed W.
 """
 
 import math
@@ -149,13 +154,18 @@ def simulate_ensemble(params, wiener, out=None):
     return PathSet(out.T)
 
 
-def envelope(pathset):
+def band_index(wiener):
+    """Per step, the paths holding W's BAND_QUANTILES: ranks ceil(q n), counted from 1."""
+    ranks = [math.ceil(q * wiener.shape[1]) - 1 for q in BAND_QUANTILES]
+    return np.argsort(wiener, axis=1)[:, ranks]
+
+
+def envelope(pathset, index):
     """(mean, q05, q95) per step: the mean path and the nearest-rank BAND_QUANTILES.
 
-    Quantile q is the value of rank ceil(q n), counted from 1, read from a
-    sorted copy of the time-major rows.
+    The quantiles are read at `index`, band_index of the W that pathset was
+    priced on; for an ensemble priced on another W they are wrong.
     """
     steps = pathset.paths.T
-    ranks = [math.ceil(q * steps.shape[1]) - 1 for q in BAND_QUANTILES]
-    lower, upper = np.sort(steps, axis=1)[:, ranks].T
+    lower, upper = np.take_along_axis(steps, index, axis=1).T
     return steps.mean(axis=1), lower, upper

@@ -5,11 +5,16 @@ Each test prints a PASS line on success so a -s run reads as a checklist.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gbmfolio
 from gbmfolio.cli import main
 from gbmfolio.errors import NumericError
 from gbmfolio.evaluation import HorizonSpec, classify_mape, evaluate_ensemble
@@ -228,3 +233,43 @@ def test_10_report_outputs_pinned(tmp_path):
     names = sorted(files.keys() | PINNED_OUTPUTS.keys())
     assert [n for n in names if files.get(n) != PINNED_OUTPUTS.get(n)] == []
     ok(f"criterion 10: the {len(files)} outputs of a small report match their pinned sha256")
+
+
+# small_report in a child interpreter, whose NumPy reads NPY_DISABLE_CPU_FEATURES on
+# import; it prints the SIMD targets left to it and the manifest's file digests
+DISPATCH_CHILD = """
+import json, sys
+from pathlib import Path
+import numpy as np
+from test_acceptance import small_report
+data, out = map(Path, sys.argv[1:])
+assert small_report(data, out) == 0
+found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+print(json.dumps([found, json.loads((out / "run_manifest.json").read_text())["files"]]))
+"""
+
+
+def test_11_outputs_pinned_under_every_dispatch_target(tmp_path):
+    # exp, log and tan differ by an ulp between SIMD targets, and the band is read
+    # through W's order, which holds only while exp never decreases as W grows
+    data = tmp_path / "data"
+    make_universe(data, n_assets=6, seed=8)
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    path = os.pathsep.join([str(Path(gbmfolio.__file__).parents[1]), str(Path(__file__).parent)])
+    moved = {}
+    # disabling found[k:] leaves found[:k]; all of it leaves the baseline, run once if
+    # nothing is found
+    for k in range(max(len(found), 1)):
+        disabled = " ".join(found[k:])
+        env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=disabled)
+        proc = subprocess.run(
+            [sys.executable, "-c", DISPATCH_CHILD, str(data), str(tmp_path / f"out{k}")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        left, files = json.loads(proc.stdout)
+        assert left == found[:k]
+        names = sorted(files.keys() | PINNED_OUTPUTS.keys())
+        moved[disabled] = [n for n in names if files.get(n) != PINNED_OUTPUTS.get(n)]
+    assert {disabled: names for disabled, names in moved.items() if names} == {}
+    ok(f"criterion 11: the outputs match their pins with each suffix of {found} disabled")

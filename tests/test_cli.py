@@ -639,6 +639,32 @@ class TestUsageAndConfig:
         )
         assert not out.exists()
 
+    def test_report_on_a_universe_that_does_not_split_writes_nothing(
+        self, universe_dir, tmp_path, capsys
+    ):
+        # every metric is ranked before stats.csv, the first file, is written
+        out = tmp_path / "out"
+        flags = ("--group-count", "4", "--group-size", "2", "--paths", "10", "--trials", "5")
+        assert run(universe_dir, out, *flags, "report") == 2
+        assert capsys.readouterr().err == (
+            "data error: universe of 6 tickers does not split into group_count 4 x group_size 2\n"
+        )
+        assert not out.exists()
+
+    def test_report_with_a_ticker_sharpe_cannot_rank_writes_nothing(
+        self, universe_dir, tmp_path, capsys
+    ):
+        # a flat ticker has no Sharpe: the sharpe ranking fails before any file is written
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        days = [line.split(",")[0] for line in (data / "SYN03.csv").read_text().splitlines()[1:]]
+        (data / "SYN03.csv").write_text("Date,Adj Close\n" + "".join(f"{d},10.0\n" for d in days))
+        out = tmp_path / "out"
+        flags = ("--group-count", "3", "--group-size", "2", "--paths", "10", "--trials", "5")
+        assert run(data, out, *flags, "report") == 3
+        assert capsys.readouterr().err == "numeric error: SYN03: undefined Sharpe, cannot rank\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -164,6 +164,31 @@ class TestEvaluateEnsemble:
         for r in report:
             assert r.mean_correlation is None
 
+    def test_a_path_still_on_day_2_that_moves_later_is_scored(self):
+        # the exact constancy scan runs only for a usable path equal on days 1 and 2
+        actual = series(100 * 1.005 ** np.arange(11) + np.sin(np.arange(11)))
+        still = np.r_[100.0, 101.0, 101.0, 100.0 + np.arange(8.0) ** 1.5]
+        moving = 100 * 1.01 ** np.arange(11)
+        ps = PathSet(np.ascontiguousarray(np.vstack([still, moving]).T).T)  # time-major
+        horizons = (HorizonSpec("2d", 2), HorizonSpec("3d", 3), *self.horizons)
+        got = evaluate_ensemble(ps, actual, horizons)
+        assert got == time_major_reference(ps, actual, horizons)
+        # constant over days 1..2 only: skipped at 2d, scored from 3d on
+        alone = evaluate_ensemble(PathSet(moving[None]), actual, horizons)
+        assert got[0].mean_correlation == alone[0].mean_correlation
+        assert got[1].mean_correlation != alone[1].mean_correlation
+
+    def test_an_all_constant_ensemble_with_nonzero_sums_of_squares_has_no_correlation(self):
+        # 0.3 averages to a value other than 0.3 over 10 days, so ss_f > 0
+        paths = np.full((11, 4), 0.3)  # time-major
+        df = paths[1:] - paths[1:].mean(axis=0)
+        assert np.all(np.einsum("ip,ip->p", df, df) > 0)
+        ps = PathSet(paths.T)
+        actual = series(100 * 1.005 ** np.arange(11))
+        got = evaluate_ensemble(ps, actual, self.horizons)
+        assert got == time_major_reference(ps, actual, self.horizons)
+        assert [r.mean_correlation for r in got] == [None, None]
+
     @settings(max_examples=200, deadline=None)
     @given(price=st.floats(0.01, 1000.0), h=st.integers(2, 30))
     def test_constant_path_has_no_correlation(self, price, h):

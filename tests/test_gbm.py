@@ -14,6 +14,7 @@ from gbmfolio.gbm import (
     BAND_QUANTILES,
     GbmParams,
     PathSet,
+    band_index,
     box_muller,
     envelope,
     simulate_ensemble,
@@ -363,52 +364,69 @@ def reference_envelope(pathset, lower_q, upper_q):
     return nearest_rank(lower_q), nearest_rank(upper_q), paths.mean(axis=0)
 
 
-# prices with ties, infinities and constant paths; no NaN, which has no rank
-PRICES = st.one_of(
-    st.sampled_from([0.0, 1.0, 2.0, math.inf]),
-    st.floats(allow_nan=False, allow_infinity=True),
-)
+# Brownian values with ties between paths and within a path
+W_VALUES = st.one_of(st.sampled_from([0.0, -1.0, 1.0]), st.floats(-40.0, 40.0))
 
 
 @st.composite
-def path_sets(draw):
+def wiener_like(draw):
+    """A time-major W-like array: ties, tied steps (W's row 0 is all zeros) and constant paths."""
     n_paths = draw(st.integers(1, 64))
     steps = draw(st.integers(1, 6))
-    varying = st.lists(PRICES, min_size=steps, max_size=steps)
-    constant = PRICES.map(lambda price: [price] * steps)
-    paths = st.lists(st.one_of(varying, constant), min_size=n_paths, max_size=n_paths)
-    return PathSet(draw(paths))
+    varying = st.lists(W_VALUES, min_size=n_paths, max_size=n_paths)
+    tied = W_VALUES.map(lambda value: [value] * n_paths)
+    wiener = np.array(draw(st.lists(st.one_of(varying, tied), min_size=steps, max_size=steps)))
+    for path in draw(st.sets(st.integers(0, n_paths - 1), max_size=n_paths)):
+        wiener[:, path] = wiener[0, path]
+    return wiener
+
+
+# s0 from 1e-300 to 1e300 and sigma up to 20 over |W| <= 40: prices underflow
+# to 0 and overflow to inf, and sigma = 0 prices every path alike
+GBM_PARAMS = st.builds(
+    GbmParams,
+    s0=st.one_of(st.sampled_from([1e-300, 1.0, 1e300]), st.floats(1e-300, 1e300)),
+    mu=st.floats(-1.0, 1.0),
+    sigma=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+)
 
 
 class TestEnvelope:
     def test_sigma_zero_collapse(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), wiener_ensemble(20, 10, 1))
-        mean, lower, upper = envelope(ps)
+        wiener = wiener_ensemble(20, 10, 1)
+        ps = simulate_ensemble(GbmParams(100.0, 0.001, 0.0), wiener)
+        mean, lower, upper = envelope(ps, band_index(wiener))
         assert np.array_equal(lower, upper)
         assert np.allclose(mean, ps.paths[0])
 
     def test_nearest_rank_oracle(self):
-        # constant paths at 1..20: rank ceil(0.05 * 20) = 1 and ceil(0.95 * 20) = 19
-        mean, lower, upper = envelope(PathSet([[float(p)] * 5 for p in range(20, 0, -1)]))
+        # constant paths at 1..20: rank ceil(0.05 * 20) = 1 and ceil(0.95 * 20) = 19;
+        # W orders the paths as their prices do
+        wiener = np.tile(np.arange(20.0, 0.0, -1.0), (5, 1))
+        paths = PathSet([[float(p)] * 5 for p in range(20, 0, -1)])
+        mean, lower, upper = envelope(paths, band_index(wiener))
         assert np.all(lower == 1.0)
         assert np.all(upper == 19.0)
         assert np.all(mean == 10.5)
 
     @settings(max_examples=300, deadline=None)
-    @given(path_sets())
-    @example(PathSet([[1.0, math.inf]] * 3))
-    @example(PathSet([[2.0, 3.0]]))
-    def test_matches_the_column_sort_reference(self, pathset):
-        with np.errstate(all="ignore"):  # the mean of inf and -inf is nan
-            mean, lower, upper = envelope(pathset)
-            reference = reference_envelope(pathset, *BAND_QUANTILES)
+    @given(wiener_like(), GBM_PARAMS)
+    @example(np.zeros((3, 5)), GbmParams(1.0, 0.0, 0.0))
+    @example(np.array([[0.0, 0.0], [40.0, -40.0]]), GbmParams(1e300, 0.0, 20.0))
+    @example(wiener_ensemble(300, 247, 4), GbmParams(100.0, 0.0004, 0.01))
+    def test_matches_the_column_sort_reference(self, wiener, params):
+        with np.errstate(over="ignore", under="ignore"):
+            pathset = simulate_ensemble(params, wiener)
+        mean, lower, upper = envelope(pathset, band_index(wiener))
+        reference = reference_envelope(pathset, *BAND_QUANTILES)
         for got, want in zip((lower, upper, mean), reference):
-            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(got, want)
 
     def test_allocates_at_most_a_tenth_more_than_the_paths(self):
-        params = GbmParams(100.0, 0.0004, 0.01)
-        ps = simulate_ensemble(params, wiener_ensemble(1000, 247, 5))
-        assert peak_allocation(lambda: envelope(ps)) <= 1.1 * ps.paths.nbytes
+        wiener = wiener_ensemble(1000, 247, 5)
+        ps = simulate_ensemble(GbmParams(100.0, 0.0004, 0.01), wiener)
+        index = band_index(wiener)
+        assert peak_allocation(lambda: envelope(ps, index)) <= 1.1 * ps.paths.nbytes
 
 
 class TestSyntheticUniverse:
