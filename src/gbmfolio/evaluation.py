@@ -59,11 +59,7 @@ class HorizonResult:
 
 
 def classify_mape(value):
-    """Precision band for a MAPE value."""
-    if math.isnan(value):
-        raise DataError("MAPE is not a number")
-    if value < 0:
-        raise DataError("MAPE cannot be negative")
+    """Precision band for a finite, nonnegative MAPE value."""
     if value <= 0.10:
         return "high"
     if value <= 0.20:
@@ -76,13 +72,14 @@ def classify_mape(value):
 def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS):
     """Score an ensemble against realized prices: one HorizonResult per horizon, in order.
 
-    actual must cover every horizon plus the starting day (index 0
-    aligns with the paths' starting price). Per horizon, correlation and
-    MAPE are computed per path over days 1..h and averaged across paths;
-    paths whose segment is constant are skipped in the correlation mean
-    but still counted for MAPE. A MAPE or mean correlation that is not
-    finite (an ensemble or a sum of squares that overflowed) raises
-    NumericError.
+    Precondition, which Run.forecast establishes: there is at least one
+    path, and actual and the paths each cover the starting day (index 0,
+    the paths' starting price) and every horizon after it. Per horizon,
+    correlation and MAPE are computed per path over days 1..h and averaged
+    across paths; paths whose segment is constant are skipped in the
+    correlation mean but still counted for MAPE. A MAPE or mean
+    correlation that is not finite (an ensemble or a sum of squares that
+    overflowed) raises NumericError.
 
     One (max_h, n_paths) buffer, one row per day, does all the work: it is
     filled once with the absolute percentage errors over days 1..max_h,
@@ -93,13 +90,6 @@ def evaluate_ensemble(pathset, actual, horizons=DEFAULT_HORIZONS):
     """
     steps = pathset.paths.T
     max_h = max(h.days for h in horizons)
-    if len(actual) < max_h + 1:
-        raise DataError(f"actual series too short for horizon {max_h}")
-    if steps.shape[0] < max_h + 1:
-        raise DataError(f"simulated horizon too short for horizon {max_h}")
-    if steps.shape[1] < 1:
-        raise DataError("no paths to evaluate")
-
     prices = actual.prices
     f_all = steps[1 : max_h + 1]
     # x.all() is False iff some x == 0, without a boolean temporary

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .streams import uniform_rows
 
 # the forecast band: the 5% and 95% nearest-rank quantiles of each step
@@ -82,9 +82,9 @@ def box_muller(uniforms, horizon, out=None, scratch=None):
     The top half of a column gives the radii, r = sqrt(-2 log(1 - u)), so
     the logarithm never sees 0; the bottom half gives the angles,
     theta = 2 pi u. The normals are r cos(theta) followed by r sin(theta),
-    written into `out`, a contiguous array of uniforms' shape (fresh when
-    not given). Both come from the half-angle tangent t = tan(pi u), one
-    ufunc where cos and sin would be two slower ones:
+    written into `out`, which must be a contiguous array of uniforms' shape
+    (fresh when not given). Both come from the half-angle tangent
+    t = tan(pi u), one ufunc where cos and sin would be two slower ones:
     r cos(theta) = 2r / (1 + t^2) - r and r sin(theta) = 2rt / (1 + t^2).
     At u = 1/2, tan(pi u) is about 1.6e16, so t^2 stays finite. 2r / (1 + t^2)
     is held in `scratch`, a (half, n_paths) array (fresh when not given).
@@ -92,8 +92,6 @@ def box_muller(uniforms, horizon, out=None, scratch=None):
     half = uniforms.shape[0] // 2
     if out is None:
         out = np.empty(uniforms.shape)
-    elif out.shape != uniforms.shape:
-        raise DataError(f"out has shape {out.shape}, need {uniforms.shape}")
     radius, tangent = out[:half], out[half:]
     np.subtract(1.0, uniforms[:half], out=radius)
     np.multiply(uniforms[half:], math.pi, out=tangent)
@@ -115,10 +113,9 @@ def wiener_ensemble(n_paths, horizon, seed):
 
     Row 0 is zeros and row k the sum of path i's first k Box-Muller
     normals, so column i depends on (seed, i) alone. The uniform block is
-    freed once W is drawn.
+    freed once W is drawn. n_paths and horizon are >= 1 (RunConfig and
+    HorizonSpec check them) and seed >= 0.
     """
-    if n_paths < 1 or horizon < 1:
-        raise DataError("n_paths and horizon must be >= 1")
     width = 2 * -(-horizon // 2)  # uniforms per path: Box-Muller takes them in pairs
     rows = uniform_rows(seed, 0, n_paths, width)
     wiener = np.empty((width + 1, n_paths))
@@ -137,15 +134,13 @@ def simulate_ensemble(params, wiener, out=None):
     """The GBM ensemble of `params` on a Brownian ensemble from wiener_ensemble.
 
     S(t) = s0 exp((mu - sigma^2/2) dt t + sigma sqrt(dt) W(t)), written into
-    `out`, an array of wiener's shape, as NumPy's `out=` arguments are: the
-    returned PathSet then views it transposed, and the next call into the
-    same array overwrites it. Without `out`, each call prices into an array
-    of its own.
+    `out`, which must have wiener's shape, as NumPy's `out=` arguments must:
+    the returned PathSet then views it transposed, and the next call into
+    the same array overwrites it. Without `out`, each call prices into an
+    array of its own.
     """
     if out is None:
         out = np.empty(wiener.shape)
-    elif out.shape != wiener.shape:
-        raise DataError(f"out has shape {out.shape}, need {wiener.shape}")
     np.multiply(wiener, params.sigma * math.sqrt(params.dt), out=out)
     drift = (params.mu - 0.5 * params.sigma * params.sigma) * params.dt
     out += np.arange(wiener.shape[0])[:, None] * drift
@@ -164,8 +159,12 @@ def envelope(pathset, index):
     """(mean, q05, q95) per step: the mean path and the nearest-rank BAND_QUANTILES.
 
     The quantiles are read at `index`, band_index of the W that pathset was
-    priced on; for an ensemble priced on another W they are wrong.
+    priced on; for an ensemble priced on another W they are wrong. A mean
+    path that is not finite (a sum of paths that overflowed) raises NumericError.
     """
     steps = pathset.paths.T
     lower, upper = np.take_along_axis(steps, index, axis=1).T
-    return steps.mean(axis=1), lower, upper
+    mean = steps.mean(axis=1)
+    if not np.isfinite(mean).all():
+        raise NumericError("mean path is not finite; the sum of the paths overflowed")
+    return mean, lower, upper

@@ -179,9 +179,7 @@ def _sorted_first_per_date(dates, prices, ticker):
 
 
 def align_panel(series_list):
-    """Inner-join a list of PriceSeries onto their common dates, which may be none."""
-    if not series_list:
-        raise DataError("align_panel needs at least one series")
+    """Inner-join a nonempty list of PriceSeries onto their common dates, which may be none."""
     dates = series_list[0].dates
     if any(s.dates != dates for s in series_list[1:]):
         common = set(dates).intersection(*(s.dates for s in series_list[1:]))
@@ -196,22 +194,14 @@ def align_panel(series_list):
 
 
 def slice_period(series, start, end):
-    """Rows with start <= date <= end; error if fewer than 2 remain."""
-    if start > end:
-        raise DataError(f"{series.ticker}: start {start} after end {end}")
+    """Rows with start <= date <= end, of which there are 2 or more (Run._window checks it)."""
     i, j = _window(series.dates, start, end)
-    if j - i < 2:
-        raise DataError(f"{series.ticker}: window {start}..{end} has fewer than 2 rows")
     return PriceSeries(series.ticker, series.dates[i:j], series.prices[i:j])
 
 
 def slice_panel(panel, start, end):
     """slice_period applied to a whole panel."""
-    if start > end:
-        raise DataError(f"start {start} after end {end}")
     i, j = _window(panel.dates, start, end)
-    if j - i < 2:
-        raise DataError(f"window {start}..{end} has fewer than 2 rows")
     return PricePanel(panel.tickers, panel.dates[i:j], panel.matrix[i:j])
 
 

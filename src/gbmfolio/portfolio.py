@@ -51,9 +51,7 @@ class PortfolioStats:
 
 
 def portfolio_value_series(panel, weights, capital, name="portfolio"):
-    """Buy-and-hold value series: capital split by weight on day 0."""
-    if len(weights) != len(panel.tickers):
-        raise DataError("weights do not match panel tickers")
+    """Buy-and-hold value series: capital split by weight on day 0, one weight per ticker."""
     normalized = panel.matrix / panel.matrix[0, :]
     values = capital * (normalized @ weights.values)
     return PriceSeries(name, panel.dates, values)
@@ -95,9 +93,7 @@ def trial_stats(weights, mu_daily, cov_daily):
 
 
 def _calibrate(panel):
-    """Mean vector and sample covariance of daily log returns."""
-    if panel.matrix.shape[0] < 3:
-        raise DataError("panel needs at least 3 dates for covariance")
+    """Mean vector and sample covariance of daily log returns over at least 3 dates."""
     log_rets = log_returns(panel.matrix)
     mu_daily = log_rets.mean(axis=0)
     cov_daily = np.cov(log_rets, rowvar=False, ddof=1).reshape(len(panel.tickers), -1)
@@ -110,10 +106,8 @@ def optimize_max_sharpe(panel, n_trials, seed, risk_free):
     Trial 0 is always the equal-weight portfolio, so the result can never
     be worse than it. Trial i >= 1 is row i of the seed's stream
     (trial_weights): it depends on (seed, i) alone, so the result is the
-    same for every block size.
+    same for every block size. n_trials is >= 1.
     """
-    if n_trials < 1:
-        raise DataError("need at least one trial")
     n = len(panel.tickers)
     mu_daily, cov_daily = _calibrate(panel)
 
@@ -124,9 +118,6 @@ def optimize_max_sharpe(panel, n_trials, seed, risk_free):
     for first in range(0, n_trials + 1, TRIAL_BLOCK):
         count = min(TRIAL_BLOCK, n_trials + 1 - first)
         block = trial_weights(seed, first, count, n)
-        # the Weights contract, checked once per block; a NaN fails it
-        if not ((block >= 0).all() and (np.abs(block.sum(axis=1) - 1.0) <= WEIGHT_SUM_TOL).all()):
-            raise DataError("trial weights are not nonnegative fractions summing to 1")
         ret, risk = trial_stats(block, mu_daily, cov_daily)
         ok = risk > 0
         any_risk = any_risk or bool(ok.any())
@@ -154,7 +145,6 @@ def _metric_value(stats, metric):
         if stats.sharpe is None:
             raise NumericError(f"{stats.ticker}: undefined Sharpe, cannot rank")
         return stats.sharpe
-    raise DataError(f"unknown metric {metric!r}")
 
 
 def rank_and_group(stats, metric, group_count, group_size):

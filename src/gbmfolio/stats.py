@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import NumericError
 from .market_data import TRADING_DAYS_PER_YEAR
 
 
@@ -35,17 +35,13 @@ def log_returns(prices):
 
 
 def sharpe_ratio(return_annual, risk_annual, risk_free):
-    """Excess annual return per unit of annual risk."""
-    if risk_annual <= 0:
-        raise NumericError("undefined Sharpe: risk is not positive")
+    """Excess annual return per unit of annual risk, which must be positive."""
     return (return_annual - risk_free) / risk_annual
 
 
 def asset_stats(series, risk_free):
-    """All per-asset statistics in one pass over the daily log returns."""
+    """All per-asset statistics in one pass over the daily log returns of at least 3 prices."""
     rets = log_returns(series.prices)
-    if len(rets) < 2:
-        raise DataError(f"{series.ticker}: need at least 3 prices for stats")
     mu_daily = float(np.mean(rets))
     sigma_daily = float(np.std(rets, ddof=1))
     if not (math.isfinite(mu_daily) and math.isfinite(sigma_daily)):

@@ -13,21 +13,16 @@ words, which no run nears: 13 assets would need over 2**124 trials.
 # lands in numpy.random's first import is lost there, and the run goes on
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-from .errors import DataError
-
 STREAMS = "pcg64dxsm-advance-v2"
 
 
 def uniform_rows(seed, first, count, width):
     """Rows first .. first+count-1 of the stream, as a (count, width) array.
 
-    Uniforms lie in [0, 1). The array is fresh and C-contiguous, and
-    callers may change it in place.
+    Needs seed >= 0, first >= 0, count >= 1 and width >= 1. Uniforms lie
+    in [0, 1). The array is fresh and C-contiguous, and callers may
+    change it in place.
     """
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
-    if first < 0 or count < 1 or width < 1:
-        raise DataError("need first >= 0, count >= 1 and width >= 1")
     bitgen = PCG64DXSM(SeedSequence(seed))
     bitgen.advance(first * width)
     return Generator(bitgen).random((count, width))

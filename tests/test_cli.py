@@ -311,6 +311,25 @@ class TestSimulate:
         assert len(stderr.splitlines()) == 1, stderr  # no NumPy RuntimeWarning lines
         assert not (out_dir / "report_BOOM.csv").exists()
 
+    def test_an_overflowing_mean_path_exits_3(self, tmp_path):
+        # a 1% daily walk from 1e306: each path is finite, the sum of 1000 of them is not
+        data_dir, out_dir = tmp_path / "data", tmp_path / "out"
+        data_dir.mkdir()
+        days = weekday_range(dt.date(2016, 1, 1), dt.date(2019, 12, 31))
+        steps = 0.01 * np.random.default_rng(1).standard_normal(len(days) - 1)
+        prices = (1e306 * np.exp(np.concatenate(([0.0], np.cumsum(steps))))).tolist()
+        (data_dir / "BIG.csv").write_text(
+            "Date,Adj Close\n" + "".join(f"{d.isoformat()},{p!r}\n" for d, p in zip(days, prices))
+        )
+        rc, stderr = run_process(
+            "--data-dir", str(data_dir), "--out-dir", str(out_dir), "--horizons", "1d:1",
+            "simulate", "--subject", "BIG",
+        )
+        assert (rc, stderr) == (
+            3, "numeric error: mean path is not finite; the sum of the paths overflowed\n"
+        )
+        assert not out_dir.exists()
+
 
 class TestUsageAndConfig:
     def test_unknown_subcommand_exits_1(self, capsys):
@@ -371,14 +390,19 @@ class TestUsageAndConfig:
                 ["--seed", "-inf"], 1,
                 "error: argument --seed: invalid literal for int() with base 10: '-inf'",
             ),
+            (["--paths", "0"], 2, "data error: paths and trials must be >= 1"),
+            (["--trials", "0"], 2, "data error: paths and trials must be >= 1"),
+            (["--group-count", "0"], 2, "data error: group count and size must be >= 1"),
+            (["--group-size", "0"], 2, "data error: group count and size must be >= 1"),
         ],
     )
     def test_bad_flag_value_exits_without_traceback(
         self, universe_dir, tmp_path, flags, code, message
     ):
+        paths = () if "--paths" in flags else ("--paths", "10")
         rc, stderr = run_process(
-            "--data-dir", str(universe_dir), "--out-dir", str(tmp_path), *flags,
-            "--paths", "10", "simulate", "--subject", "SYN00",
+            "--data-dir", str(universe_dir), "--out-dir", str(tmp_path), *flags, *paths,
+            "simulate", "--subject", "SYN00",
         )
         assert rc == code
         assert "Traceback" not in stderr

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbmfolio.errors import DataError, NumericError
+from gbmfolio.errors import NumericError
 from gbmfolio.evaluation import (
     HorizonResult,
     HorizonSpec,
@@ -118,14 +118,6 @@ class TestClassifyMape:
         ranks = [order.index(classify_mape(v)) for v in values]
         assert ranks == sorted(ranks)
 
-    def test_negative_rejected(self):
-        with pytest.raises(DataError):
-            classify_mape(-0.1)
-
-    def test_nan_rejected(self):
-        with pytest.raises(DataError, match="not a number"):
-            classify_mape(float("nan"))
-
 
 class TestEvaluateEnsemble:
     horizons = (HorizonSpec("1w", 5), HorizonSpec("2w", 10))
@@ -222,12 +214,6 @@ class TestEvaluateEnsemble:
         short = evaluate_ensemble(ps, actual, (HorizonSpec("1w", 5), HorizonSpec("2w", 10)))
         for a, b in zip(short, full[:2]):
             assert a == b
-
-    def test_too_short_actual(self):
-        ps = simulate_ensemble(GbmParams(100.0, 0.0005, 0.01), wiener_ensemble(5, 10, 3))
-        actual = series(100 * 1.002 ** np.arange(8))
-        with pytest.raises(DataError):
-            evaluate_ensemble(ps, actual, self.horizons)
 
     def test_mape_against_larger_monte_carlo_oracle(self):
         # expected MAPE estimated from an independent 10x larger ensemble

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gbmfolio.errors import DataError
+from gbmfolio.errors import DataError, NumericError
 from gbmfolio.gbm import (
     BAND_QUANTILES,
     GbmParams,
@@ -48,13 +48,6 @@ class TestWienerIncrements:
 
     def test_deterministic_per_stream(self):
         assert np.array_equal(self.increments(10, 10, 1.0, 3), self.increments(10, 10, 1.0, 3))
-
-    def test_validation(self):
-        for n_paths, horizon in ((0, 5), (5, 0)):
-            with pytest.raises(DataError, match=">= 1"):
-                wiener_ensemble(n_paths, horizon, 0)
-        with pytest.raises(DataError):
-            GbmParams(1.0, 0.5, 1.0, dt=0.0)
 
     def test_read_only_time_major_from_zero(self):
         wiener = wiener_ensemble(4, 7, 3)
@@ -199,13 +192,11 @@ class TestPathStream:
         u = np.zeros((4, 1))
         assert np.array_equal(box_muller(u, 3), np.zeros((3, 1)))
 
-    def test_box_muller_leaves_uniforms_and_checks_out(self):
+    def test_box_muller_leaves_uniforms_unchanged(self):
         uniforms = uniform_rows(5, 0, 3, 6)
         before = uniforms.copy()
         box_muller(uniforms.T, 5)
         assert np.array_equal(uniforms, before)
-        with pytest.raises(DataError, match="shape"):
-            box_muller(uniforms.T, 5, out=np.empty((3, 6)))
 
     def test_half_angle_matches_cos_sin_reference(self):
         uniforms = uniform_rows(2024, 0, 4100, self.WIDTH)
@@ -229,12 +220,6 @@ class TestPathStream:
         assert normals.shape == (5, 3)
         assert np.all(np.isfinite(normals))
         assert np.array_equal(wiener_ensemble(3, 5, 1)[1:], np.cumsum(normals, axis=0))
-
-    def test_negative_seed_is_data_error(self):
-        with pytest.raises(DataError, match="seed"):
-            wiener_ensemble(1, 5, -1)
-        with pytest.raises(DataError, match="seed"):
-            uniform_rows(-1, 0, 1, 4)
 
 
 class TestEnsemble:
@@ -328,11 +313,6 @@ class TestDrawArrays:
                 assert not reused.paths.flags.writeable and out.flags.writeable
                 assert np.array_equal(reused.paths, simulate_ensemble(params, wiener).paths)
 
-    @pytest.mark.parametrize("shape", [(10, 21), (21, 11), (20, 10)])
-    def test_arrays_of_another_shape_are_data_error(self, shape):
-        with pytest.raises(DataError, match="shape"):
-            simulate_ensemble(self.PARAMS, wiener_ensemble(10, 20, 0), out=np.empty(shape))
-
     def test_reused_draw_allocates_under_a_tenth_of_the_paths(self):
         wiener = wiener_ensemble(1000, 247, 5)
         out = np.empty(wiener.shape)
@@ -414,11 +394,17 @@ class TestEnvelope:
     @example(np.zeros((3, 5)), GbmParams(1.0, 0.0, 0.0))
     @example(np.array([[0.0, 0.0], [40.0, -40.0]]), GbmParams(1e300, 0.0, 20.0))
     @example(wiener_ensemble(300, 247, 4), GbmParams(100.0, 0.0004, 0.01))
+    # finite paths near 3.3e306 whose sum, and so their mean, overflows
+    @example(np.array([[1.0] * 60, [0.0] * 60, [0.0] * 60]), GbmParams(1e300, 0.0, 15.0))
     def test_matches_the_column_sort_reference(self, wiener, params):
         with np.errstate(over="ignore", under="ignore"):
             pathset = simulate_ensemble(params, wiener)
-        mean, lower, upper = envelope(pathset, band_index(wiener))
-        reference = reference_envelope(pathset, *BAND_QUANTILES)
+            reference = reference_envelope(pathset, *BAND_QUANTILES)
+            if not np.isfinite(reference[2]).all():
+                with pytest.raises(NumericError, match="mean path is not finite"):
+                    envelope(pathset, band_index(wiener))
+                return
+            mean, lower, upper = envelope(pathset, band_index(wiener))
         for got, want in zip((lower, upper, mean), reference):
             assert np.array_equal(got, want)
 
