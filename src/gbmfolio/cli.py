@@ -174,7 +174,7 @@ class Run:
     def __init__(self, config, tickers=None):
         self.config = config
         self.out_dir = Path(config.out_dir)
-        self.written = {}  # file name -> sha256 of the bytes written
+        self.files = {}  # file name -> bytes, written by save
         self._stats = {}
         self._groups = {}
         if tickers is not None:
@@ -323,18 +323,8 @@ class Run:
     # -- outputs ------------------------------------------------------------
 
     def _write(self, name, text):
-        """Write out_dir/name, making out_dir on the first write, and record its sha256.
-
-        Every output goes through here, so the manifest reads nothing back.
-        """
-        data = text.encode()
-        path = self.out_dir / name
-        try:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data)
-        except OSError as exc:
-            raise DataError(f"cannot write output {path}: {exc}") from exc
-        self.written[name] = hashlib.sha256(data).hexdigest()
+        """Hold out_dir/name's bytes until save; every output goes through here."""
+        self.files[name] = text.encode()
 
     def write_csv(self, name, header, rows):
         lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
@@ -389,7 +379,11 @@ class Run:
         rows = _summary_rows(subjects, reports)
         self.write_csv("summary.csv", ["subject", *REPORT_COLUMNS], rows)
 
-    def write_manifest(self, command):
+    def save(self, command):
+        """Write every held file to out_dir, then the manifest; a run writes nowhere else.
+
+        Each sha256 is taken of the held bytes, so the manifest reads nothing back.
+        """
         config = asdict(self.config)
         del config["out_dir"]  # where the files land is not part of the results
         manifest = {
@@ -401,15 +395,23 @@ class Run:
                 "gbmfolio": __version__,
             },
             "config": config,
-            # serialized before the manifest is written, so it never lists itself
-            "files": self.written,
+            # built before the manifest is held, so it never lists itself
+            "files": {name: hashlib.sha256(data).hexdigest() for name, data in self.files.items()},
         }
         text = json.dumps(manifest, indent=2, sort_keys=True, default=dt.date.isoformat)
         self._write("run_manifest.json", text + "\n")
+        path = self.out_dir
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+            for name, data in self.files.items():
+                path = self.out_dir / name
+                path.write_bytes(data)
+        except OSError as exc:
+            raise DataError(f"cannot write output {path}: {exc}") from exc
 
 
 def run_command(config, args):
-    """Write the outputs the parsed command asks for, then the manifest."""
+    """Render the outputs the parsed command asks for, then save them with the manifest."""
     command = args.command
     if command == "stats":
         run = Run(config, args.tickers or None)  # no tickers: the whole universe
@@ -429,13 +431,11 @@ def run_command(config, args):
         command = f"simulate-{args.subject}"
     else:
         run = Run(config)
-        for metric in METRICS:  # rank before the first write, so a failed ranking writes nothing
-            run.groups(metric)
         run.write_stats()
         for metric in METRICS:
             run.write_groups(metric)
         run.write_all_forecasts()
-    run.write_manifest(command)
+    run.save(command)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +561,7 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except KeyboardInterrupt:  # files already written stay in out_dir
+    except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
     return 0

@@ -9,7 +9,7 @@ import shutil
 import signal
 import subprocess
 import sys
-import time
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +22,7 @@ import gbmfolio
 from gbmfolio import cli
 from gbmfolio.cli import main
 from gbmfolio.config import SETTINGS, RunConfig
+from gbmfolio.errors import NumericError
 from gbmfolio.evaluation import HorizonResult
 from gbmfolio.market_data import load_csv, slice_period
 from gbmfolio.stats import asset_stats
@@ -611,8 +612,18 @@ class TestUsageAndConfig:
                 " holds fewer than 2 trading days",
                 ["stats", "SYN00"],
             ),
+            (
+                # stats and the rankings are rendered before SYN00's forecast fails
+                {"evaluation_end": "2019-03-01"},
+                "calibration_end..evaluation_end (2018-12-31..2019-03-01) holds 44 trading days"
+                " after calibration_end, fewer than the longest horizon (1y, 247 days)",
+                [
+                    "--group-count", "3", "--group-size", "2", "--paths", "10", "--trials", "5",
+                    "report",
+                ],
+            ),
         ],
-        ids=["calibration", "calibration-2-days", "evaluation", "whole-run"],
+        ids=["calibration", "calibration-2-days", "evaluation", "whole-run", "evaluation-report"],
     )
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_a_window_too_short_for_a_ticker_names_its_settings(
@@ -654,7 +665,7 @@ class TestUsageAndConfig:
     def test_simulate_all_on_a_universe_that_does_not_split_writes_nothing(
         self, universe_dir, tmp_path, capsys
     ):
-        # the groups are ranked before the first forecast is written
+        # a run that fails writes nothing
         out = tmp_path / "out"
         flags = ("--group-count", "4", "--group-size", "2", "--paths", "10", "--trials", "5")
         assert run(universe_dir, out, *flags, "simulate", "--subject", "all") == 2
@@ -666,7 +677,7 @@ class TestUsageAndConfig:
     def test_report_on_a_universe_that_does_not_split_writes_nothing(
         self, universe_dir, tmp_path, capsys
     ):
-        # every metric is ranked before stats.csv, the first file, is written
+        # a run that fails writes nothing, stats.csv included
         out = tmp_path / "out"
         flags = ("--group-count", "4", "--group-size", "2", "--paths", "10", "--trials", "5")
         assert run(universe_dir, out, *flags, "report") == 2
@@ -678,7 +689,7 @@ class TestUsageAndConfig:
     def test_report_with_a_ticker_sharpe_cannot_rank_writes_nothing(
         self, universe_dir, tmp_path, capsys
     ):
-        # a flat ticker has no Sharpe: the sharpe ranking fails before any file is written
+        # a flat ticker has no Sharpe: the sharpe ranking fails, and the run writes nothing
         data = tmp_path / "data"
         shutil.copytree(universe_dir, data)
         days = [line.split(",")[0] for line in (data / "SYN03.csv").read_text().splitlines()[1:]]
@@ -687,6 +698,48 @@ class TestUsageAndConfig:
         flags = ("--group-count", "3", "--group-size", "2", "--paths", "10", "--trials", "5")
         assert run(data, out, *flags, "report") == 3
         assert capsys.readouterr().err == "numeric error: SYN03: undefined Sharpe, cannot rank\n"
+        assert not out.exists()
+
+    def test_simulate_all_with_a_ticker_that_ends_early_writes_nothing(
+        self, universe_dir, tmp_path, capsys
+    ):
+        # the other tickers' forecasts are rendered before SYN05's fails
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        lines = (data / "SYN05.csv").read_text().splitlines(keepends=True)
+        (data / "SYN05.csv").write_text("".join(lines[:800]))
+        out = tmp_path / "out"
+        flags = ("--group-count", "3", "--group-size", "2", "--paths", "10", "--trials", "5")
+        assert run(data, out, *flags, "simulate", "--subject", "all") == 2
+        assert capsys.readouterr().err == (
+            "data error: SYN05: calibration_end..evaluation_end (2018-12-31..2019-12-31) holds 18"
+            " trading days after calibration_end, fewer than the longest horizon (1y, 247 days)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "exc, code, message",
+        [
+            (KeyboardInterrupt, 130, "interrupted\n"),
+            (NumericError("stopped"), 3, "numeric error: stopped\n"),
+        ],
+        ids=["interrupt", "numeric-error"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["group", "--metric", "sharpe"], ["report"]], ids=["group-sharpe", "report"]
+    )
+    def test_a_failure_in_the_optimizer_writes_nothing(
+        self, universe_dir, tmp_path, capsys, monkeypatch, exc, code, message, command
+    ):
+        # groups_sharpe.csv, and under report stats.csv too, are rendered before it fails
+        def optimize(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "optimize_max_sharpe", optimize)
+        out = tmp_path / "out"
+        flags = ("--group-count", "3", "--group-size", "2", "--paths", "10", "--trials", "5")
+        assert run(universe_dir, out, *flags, *command) == code
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -745,15 +798,18 @@ class TestUsageAndConfig:
     def test_unwritable_out_dir_is_data_error(self, universe_dir, tmp_path, blocked):
         out = tmp_path / "out"
         if blocked == "out_dir_is_a_file":
+            path = out
             out.write_text("")
         else:
-            (out / "stats.csv").mkdir(parents=True)
+            path = out / "stats.csv"
+            path.mkdir(parents=True)
         rc, stderr = run_process(
             "--data-dir", str(universe_dir), "--out-dir", str(out), "stats", "SYN00"
         )
         assert rc == 2
         assert len(stderr.splitlines()) == 1
-        assert stderr.startswith("data error: ") and str(out) in stderr
+        assert stderr.startswith(f"data error: cannot write output {path}: ")
+        assert not (out / "run_manifest.json").exists()  # the manifest is written last
 
     @pytest.mark.parametrize("paths", [10**12, 10**30])
     def test_an_ensemble_too_large_to_allocate_is_data_error(self, universe_dir, tmp_path, paths):
@@ -770,30 +826,34 @@ class TestUsageAndConfig:
 
 class TestInterrupt:
     def test_ctrl_c_is_one_line_and_exit_130(self, universe_dir, tmp_path):
-        # groups_sharpe.csv is written just before the optimizer starts its trials
+        # the loader's warning about SYN00's last row is printed inside main's
+        # try; the optimizer then runs its trials for far longer than the test
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        with open(data / "SYN00.csv", "a", newline="") as fh:
+            fh.write("2019-12-31,null,,,,null,0\r\n")
         out = tmp_path / "out"
         env = dict(os.environ, PYTHONPATH=str(Path(gbmfolio.__file__).resolve().parents[1]))
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "gbmfolio.cli", "--data-dir", str(universe_dir),
-                "--out-dir", str(out), "--group-count", "3", "--group-size", "2",
-                "--trials", "1000000000000", "report",
-            ],
-            stderr=subprocess.PIPE, text=True, env=env,
-        )
-        try:
-            deadline = time.monotonic() + 60
-            while not (out / "groups_sharpe.csv").exists():
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.05)
-            proc.send_signal(signal.SIGINT)
-            _, stderr = proc.communicate(timeout=60)
-        finally:
-            proc.kill()
-            proc.wait()
+        argv = [
+            sys.executable, "-m", "gbmfolio.cli", "--data-dir", str(data), "--out-dir", str(out),
+            "--group-count", "3", "--group-size", "2", "--trials", "1000000000000", "report",
+        ]
+        # leaving the with block closes the pipe and waits for the child
+        with subprocess.Popen(argv, stderr=subprocess.PIPE, text=True, env=env) as proc:
+            timer = threading.Timer(60, proc.kill)  # a child that never warns fails the test
+            timer.start()
+            try:
+                warning = proc.stderr.readline()
+                proc.send_signal(signal.SIGINT)
+                rest = proc.stderr.read()
+            finally:
+                timer.cancel()
+                proc.kill()
+        assert warning.startswith("warning: SYN00: dropping line ")
+        assert warning.endswith(": unparseable date or price\n")
         assert proc.returncode == 130
-        assert stderr == "interrupted\n"
-        assert (out / "groups_sharpe.csv").exists()  # files already written stay
+        assert rest == "interrupted\n"
+        assert not out.exists()
 
     def test_numpy_random_is_imported_with_the_cli(self):
         # a SIGINT that lands in numpy.random's first import is lost there, so
