@@ -98,6 +98,11 @@ def _parse_subject(subject):
     return match and (match[1], int(match[2]) - 1)
 
 
+def _group_subject(metric, index):
+    """The subject name of `metric`'s group `index`, counted from 0: sharpe-2 for index 1."""
+    return f"{metric}-{index + 1}"
+
+
 def _columns(panel, tickers):
     """The sub-panel of the given tickers, in that order, stored row-major."""
     index = [panel.tickers.index(t) for t in tickers]
@@ -121,39 +126,16 @@ def _summary_rows(subjects, reports):
 # ---------------------------------------------------------------------------
 # the pipeline: each stage is computed on first use, at most once per run
 
-class Group:
-    """One ranked group of the universe; its weights and value are found on first use."""
+def _stage(compute):
+    """A Run stage of one name, a subject or a metric: computed on first use, once per run."""
 
-    def __init__(self, run, metric, index, members):
-        self.run = run
-        self.metric = metric
-        self.name = f"{metric}-{index + 1}"
-        self.members = members
+    def stage(run, name):
+        done = run.stages.setdefault(compute, {})
+        if name not in done:
+            done[name] = compute(run, name)
+        return done[name]
 
-    @cached_property
-    def weights(self):
-        """Equal weights for return/risk groups; max-Sharpe weights otherwise."""
-        n = len(self.members)
-        if self.metric != "sharpe":
-            return Weights(np.full(n, 1.0 / n))
-        config = self.run.config
-        weights, _ = optimize_max_sharpe(
-            _columns(self.run.calibration_panel, self.members),
-            config.n_trials,
-            _subject_seed(config, f"opt-{self.metric}-{'-'.join(self.members)}"),
-            config.risk_free,
-        )
-        return weights
-
-    @cached_property
-    def value_series(self):
-        """Buy-and-hold value of the group over the run's whole window."""
-        return portfolio_value_series(
-            _columns(self.run.panel, self.members),
-            self.weights,
-            100.0 * len(self.members),
-            name=self.name,
-        )
+    return stage
 
 
 class Run:
@@ -161,7 +143,10 @@ class Run:
 
     `tickers` is every CSV in the data directory unless the command names
     its own. Only the stages a command's outputs need are computed, and
-    the manifest lists exactly the files this run wrote.
+    the manifest lists exactly the files this run wrote. A subject is a
+    ticker or a group such as sharpe-2, and both are computed only when a
+    file needs them: subject_series, calibration_stats and weights are
+    keyed by the subject's name, and groups by the metric.
 
     One data rule holds for every output. A ticker's numbers (its row of
     stats.csv, its place in the rankings, its forecast) come from its own
@@ -175,8 +160,7 @@ class Run:
         self.config = config
         self.out_dir = Path(config.out_dir)
         self.files = {}  # file name -> bytes, written by save
-        self._stats = {}
-        self._groups = {}
+        self.stages = {}  # each _stage's results, by name
         if tickers is not None:
             self.tickers = tuple(tickers)
 
@@ -234,43 +218,56 @@ class Run:
         window = self._window(panel.dates, "calibration_start", "calibration_end", 3, None)
         return slice_panel(panel, *window)
 
+    @_stage
     def subject_series(self, subject):
         """A subject's prices over the whole window: a ticker's own or a group's value."""
+        group = self.group(subject)
+        if group is None:
+            return self.series[subject]
+        _, members = group
+        panel = _columns(self.panel, members)
+        return portfolio_value_series(panel, self.weights(subject), 100.0 * len(members), subject)
+
+    @_stage
+    def calibration_stats(self, subject):
+        """A subject's AssetStats over its calibration window."""
+        series = self.subject_series(subject)
+        window = self._window(series.dates, "calibration_start", "calibration_end", 3, subject)
+        return asset_stats(slice_period(series, *window), self.config.risk_free)
+
+    def group(self, subject):
+        """(metric, members) of a group subject such as sharpe-2; None for a ticker.
+
+        A group past group_count is an error found from the name alone, before any file is read.
+        """
         ref = _parse_subject(subject)
         if ref is None:
-            return self.series[subject]
+            return None
         metric, index = ref
         if not 0 <= index < self.config.group_count:
             raise SettingsError(
                 f"{subject}: group_count is {self.config.group_count}, so there is no group"
                 f" {index + 1}"
             )
-        return self.groups(metric)[index].value_series
+        return metric, self.groups(metric)[index]
 
-    def calibration_stats(self, subject):
-        """A subject's AssetStats over its calibration window, once per run."""
-        stats = self._stats.get(subject)
-        if stats is None:
-            series = self.subject_series(subject)
-            window = self._window(series.dates, "calibration_start", "calibration_end", 3, subject)
-            calib = slice_period(series, *window)
-            stats = self._stats[subject] = asset_stats(calib, self.config.risk_free)
-        return stats
-
+    @_stage
     def groups(self, metric):
-        """The tickers ranked by stats.csv's `metric` and cut into groups, once per run."""
-        if metric not in self._groups:
-            c = self.config
-            ranked = rank_and_group(
-                [self.calibration_stats(t) for t in self.tickers],
-                metric,
-                group_count=c.group_count,
-                group_size=c.group_size,
-            )
-            self._groups[metric] = tuple(
-                Group(self, metric, index, members) for index, members in enumerate(ranked)
-            )
-        return self._groups[metric]
+        """The tickers ranked by stats.csv's `metric` and cut into tuples of members."""
+        c = self.config
+        stats = [self.calibration_stats(t) for t in self.tickers]
+        return rank_and_group(stats, metric, group_count=c.group_count, group_size=c.group_size)
+
+    @_stage
+    def weights(self, group):
+        """Equal weights for a return or risk group; max-Sharpe weights for a sharpe group."""
+        metric, members = self.group(group)
+        if metric != "sharpe":
+            return Weights(np.full(len(members), 1.0 / len(members)))
+        c = self.config
+        panel = _columns(self.calibration_panel, members)
+        seed = _subject_seed(c, f"opt-{metric}-{'-'.join(members)}")
+        return optimize_max_sharpe(panel, c.n_trials, seed, c.risk_free)[0]
 
     @cached_property
     def ensemble(self):
@@ -346,15 +343,15 @@ class Run:
         groups = self.groups(metric)
         rows = [
             (g + 1, rank + 1, ticker)
-            for g, group in enumerate(groups)
-            for rank, ticker in enumerate(group.members)
+            for g, members in enumerate(groups)
+            for rank, ticker in enumerate(members)
         ]
         self.write_csv(f"groups_{metric}.csv", ["group", "rank", "ticker"], rows)
         if metric == "sharpe":
             rows = [
                 (g + 1, ticker, w)
-                for g, group in enumerate(groups)
-                for ticker, w in zip(group.members, group.weights.values)
+                for g, members in enumerate(groups)
+                for ticker, w in zip(members, self.weights(_group_subject(metric, g)).values)
             ]
             self.write_csv("weights_sharpe.csv", ["group", "ticker", "weight"], rows)
 
@@ -373,7 +370,7 @@ class Run:
 
     def write_all_forecasts(self):
         """Every ticker, then every ranked group, plus summary.csv."""
-        groups = tuple(g.name for m in METRICS for g in self.groups(m))
+        groups = tuple(_group_subject(m, g) for m in METRICS for g in range(len(self.groups(m))))
         subjects = self.tickers + groups
         reports = [self.write_forecast(subject) for subject in subjects]
         rows = _summary_rows(subjects, reports)

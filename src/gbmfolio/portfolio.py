@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, SettingsError
 from .market_data import TRADING_DAYS_PER_YEAR, PriceSeries
-from .stats import log_returns
+from .stats import log_returns, sharpe_ratio
 from .streams import uniform_rows
 
 WEIGHT_SUM_TOL = 1e-9
@@ -38,9 +38,6 @@ class Weights:
             raise DataError("weights must be nonnegative")
         if not abs(values.sum() - 1.0) <= WEIGHT_SUM_TOL:
             raise DataError(f"weights sum to {values.sum()}, expected 1")
-
-    def __len__(self):
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,7 @@ def optimize_max_sharpe(panel, n_trials, seed, risk_free):
         ret, risk = trial_stats(block, mu_daily, cov_daily)
         ok = risk > 0
         any_risk = any_risk or bool(ok.any())
-        sharpe = (ret - risk_free) / np.where(ok, risk, 1.0)
+        sharpe = sharpe_ratio(ret, np.where(ok, risk, 1.0), risk_free)
         sharpe[~(ok & np.isfinite(sharpe))] = -math.inf  # only a finite Sharpe can win
         k = int(np.argmax(sharpe))
         if sharpe[k] > best_sharpe:

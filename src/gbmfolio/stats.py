@@ -35,7 +35,7 @@ def log_returns(prices):
 
 
 def sharpe_ratio(return_annual, risk_annual, risk_free):
-    """Excess annual return per unit of annual risk, which must be positive."""
+    """Excess annual return per unit of positive annual risk, for floats or arrays alike."""
     return (return_annual - risk_free) / risk_annual
 
 

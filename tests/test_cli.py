@@ -396,6 +396,13 @@ class TestUsageAndConfig:
             (["--group-count", "0"], 2, "data error: group count and size must be >= 1"),
             (["--group-size", "0"], 2, "data error: group count and size must be >= 1"),
         ],
+        ids=[
+            "seed-negative", "calib-start-month13", "horizon-days-x", "risk-free-nan",
+            "risk-free-inf", "label-twice", "label-twice-spaced", "label-quote",
+            "label-carriage-ret", "mape-denominator", "unknown-option", "evaluation-start",
+            "risk-free-minus-inf", "minus-Infinity", "risk-free-minus-nan", "seed-minus-inf",
+            "paths-zero", "trials-zero", "group-count-zero", "group-size-zero",
+        ],
     )
     def test_bad_flag_value_exits_without_traceback(
         self, universe_dir, tmp_path, flags, code, message
@@ -648,6 +655,21 @@ class TestUsageAndConfig:
         )
         assert not out.exists()
 
+    def test_a_group_beyond_group_count_is_reported_before_any_file_is_read(
+        self, universe_dir, tmp_path, capsys
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        with open(data / "SYN00.csv", "a", newline="") as fh:
+            fh.write("2019-12-31,null,,,,null,0\r\n")  # loading this file prints a warning
+        out = tmp_path / "out"
+        flags = ("--group-count", "3", "--group-size", "2")
+        assert run(data, out, *flags, "simulate", "--subject", "sharpe-4") == 2
+        assert capsys.readouterr().err == (
+            "data error: sharpe-4: group_count is 3, so there is no group 4\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_a_universe_that_does_not_split_names_the_settings(
         self, universe_dir, tmp_path, capsys, route
@@ -860,6 +882,39 @@ class TestInterrupt:
         # no draw during a run may be the one that imports it
         proc = run_child("-c", "import sys, gbmfolio.cli; print('numpy.random' in sys.modules)")
         assert proc.stdout == "True\n"
+
+
+def test_the_cli_imports_only_the_standard_library_numpy_and_gbmfolio():
+    # every invocation pays for each module the CLI imports, before any work
+    proc = run_child("-c", IMPORTS_OUTSIDE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+# Imports gbmfolio.cli and prints, as JSON, each module it added from a file
+# outside the standard library, NumPy and gbmfolio. Third-party packages
+# install under the standard library's directory, so site-packages is cut out.
+IMPORTS_OUTSIDE = """
+import json, sys, sysconfig
+from pathlib import Path
+
+before = set(sys.modules)
+import gbmfolio, gbmfolio.cli, numpy
+
+paths = sysconfig.get_paths()
+stdlib = {Path(paths[k]).resolve() for k in ("stdlib", "platstdlib")}
+site = {Path(paths[k]).resolve() for k in ("purelib", "platlib")}
+own = {Path(m.__file__).resolve().parent for m in (numpy, gbmfolio)}
+
+def allowed(file):
+    path = Path(file).resolve()
+    under = lambda roots: any(path.is_relative_to(root) for root in roots)
+    return under(own) or (under(stdlib) and not under(site))
+
+added = {name: sys.modules[name] for name in set(sys.modules) - before}
+files = {name: getattr(m, "__file__", None) for name, m in added.items()}
+print(json.dumps(sorted(name for name, f in files.items() if f and not allowed(f))))
+"""
 
 
 def write_flawed_prices(data_dir):
@@ -1301,6 +1356,35 @@ class TestPipeline:
             "load_csv": n_files, "align_panel": 1, "rank_and_group": 3, "optimize_max_sharpe": 3,
             "asset_stats": n_files + 3 * 3,  # each ticker, then each of the 3x3 group subjects
         }
+
+    @pytest.mark.parametrize(
+        "command, optimizations, value_series",
+        [
+            (("simulate", "--subject", "sharpe-2"), 1, 1),
+            (("simulate", "--subject", "return-1"), 0, 1),
+            (("group", "--metric", "sharpe"), 3, 0),  # one per group, and no group is priced
+        ],
+        ids=["simulate-sharpe-2", "simulate-return-1", "group-sharpe"],
+    )
+    def test_a_group_is_optimized_and_priced_only_when_a_file_needs_it(
+        self, universe_dir, tmp_path, monkeypatch, command, optimizations, value_series
+    ):
+        calls = Counter()
+
+        def count(name):
+            original = getattr(cli, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+
+        count("optimize_max_sharpe")
+        count("portfolio_value_series")
+        assert run(universe_dir, tmp_path, *self.FLAGS, *command) == 0
+        assert calls["optimize_max_sharpe"] == optimizations
+        assert calls["portfolio_value_series"] == value_series
 
     def test_commands_are_views_of_report(self, universe_dir, tmp_path):
         tickers = sorted(p.stem for p in universe_dir.glob("*.csv"))
