@@ -92,12 +92,6 @@ def _subject_arg(text):
     return text if text == "all" or match else _ticker_arg(text)
 
 
-def _parse_subject(subject):
-    """(metric, index) of a group subject such as sharpe-2; None for a ticker."""
-    match = _GROUP_SUBJECT.fullmatch(subject)
-    return match and (match[1], int(match[2]) - 1)
-
-
 def _group_subject(metric, index):
     """The subject name of `metric`'s group `index`, counted from 0: sharpe-2 for index 1."""
     return f"{metric}-{index + 1}"
@@ -141,12 +135,17 @@ def _stage(compute):
 class Run:
     """One invocation of the pipeline; the commands choose what it writes.
 
-    `tickers` is every CSV in the data directory unless the command names
-    its own. Only the stages a command's outputs need are computed, and
-    the manifest lists exactly the files this run wrote. A subject is a
-    ticker or a group such as sharpe-2, and both are computed only when a
-    file needs them: subject_series, calibration_stats and weights are
-    keyed by the subject's name, and groups by the metric.
+    `tickers` is every CSV in the data directory, listed only when a stage
+    needs the universe. Only the stages a command's outputs need are
+    computed, and the manifest lists exactly the files this run wrote. A
+    subject is a ticker or a group such as sharpe-2, and both are computed
+    only when a file needs them: subject_series, calibration_stats and
+    weights are keyed by the subject's name, and groups by the metric. So
+    a ticker's file is read by the stage that first needs it, and a
+    single-ticker command never lists the data directory. Tickers are
+    loaded and calibrated one at a time, in file-name order, and a run
+    stops at the first failure; stats and rankings calibrate every ticker,
+    so every file a command needs is read before any optimization or forecast.
 
     One data rule holds for every output. A ticker's numbers (its row of
     stats.csv, its place in the rankings, its forecast) come from its own
@@ -156,13 +155,11 @@ class Run:
     every day.
     """
 
-    def __init__(self, config, tickers=None):
+    def __init__(self, config):
         self.config = config
         self.out_dir = Path(config.out_dir)
         self.files = {}  # file name -> bytes, written by save
         self.stages = {}  # each _stage's results, by name
-        if tickers is not None:
-            self.tickers = tuple(tickers)
 
     @cached_property
     def tickers(self):
@@ -174,17 +171,6 @@ class Run:
             if error:
                 raise DataError(f"{path}: file name is not a ticker: {error}")
         return tuple(p.stem for p in paths)
-
-    @cached_property
-    def series(self):
-        """Each ticker's prices over calibration_start..evaluation_end.
-
-        One load_csv per file; the rest of the history is not kept.
-        """
-        data_dir = Path(self.config.data_dir)
-        loaded = (load_csv(data_dir / f"{t}.csv", t) for t in self.tickers)
-        whole = ("calibration_start", "evaluation_end", 2)
-        return {s.ticker: slice_period(s, *self._window(s.dates, *whole, s.ticker)) for s in loaded}
 
     def _window(self, dates, first, last, days, what):
         """The settings `first`..`last` as (start, end), once `dates` holds `days` days in them.
@@ -208,7 +194,7 @@ class Run:
 
         Each series is already cut to that window, and the join cannot widen it.
         """
-        panel = align_panel([self.series[t] for t in self.tickers])
+        panel = align_panel([self.subject_series(t) for t in self.tickers])
         self._window(panel.dates, "calibration_start", "evaluation_end", 2, None)
         return panel
 
@@ -220,10 +206,15 @@ class Run:
 
     @_stage
     def subject_series(self, subject):
-        """A subject's prices over the whole window: a ticker's own or a group's value."""
+        """A subject's prices over calibration_start..evaluation_end: a ticker's own or a group's.
+
+        A ticker's file is read here, once; the rest of its history is not kept.
+        """
         group = self.group(subject)
         if group is None:
-            return self.series[subject]
+            series = load_csv(Path(self.config.data_dir) / f"{subject}.csv", subject)
+            window = self._window(series.dates, "calibration_start", "evaluation_end", 2, subject)
+            return slice_period(series, *window)
         _, members = group
         panel = _columns(self.panel, members)
         return portfolio_value_series(panel, self.weights(subject), 100.0 * len(members), subject)
@@ -240,10 +231,10 @@ class Run:
 
         A group past group_count is an error found from the name alone, before any file is read.
         """
-        ref = _parse_subject(subject)
-        if ref is None:
+        match = _GROUP_SUBJECT.fullmatch(subject)
+        if match is None:
             return None
-        metric, index = ref
+        metric, index = match[1], int(match[2]) - 1
         if not 0 <= index < self.config.group_count:
             raise SettingsError(
                 f"{subject}: group_count is {self.config.group_count}, so there is no group"
@@ -327,10 +318,10 @@ class Run:
         lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
         self._write(name, ",".join(header) + "\n" + "".join(lines))
 
-    def write_stats(self):
+    def write_stats(self, tickers):
         rows = [
             (s.ticker, s.return_annual, s.risk_annual, s.sharpe)
-            for s in map(self.calibration_stats, self.tickers)
+            for s in map(self.calibration_stats, tickers)
         ]
         self.write_csv("stats.csv", ["ticker", "return_annual", "risk_annual", "sharpe"], rows)
         lines = [f"{'ticker':<10}{'return':>12}{'risk':>12}{'sharpe':>10}\n"]
@@ -409,26 +400,21 @@ class Run:
 
 def run_command(config, args):
     """Render the outputs the parsed command asks for, then save them with the manifest."""
+    run = Run(config)
     command = args.command
     if command == "stats":
-        run = Run(config, args.tickers or None)  # no tickers: the whole universe
-        run.write_stats()
+        run.write_stats(args.tickers or run.tickers)  # no tickers: the whole universe
     elif command == "group":
-        run = Run(config)
         run.write_groups(args.metric)
         command = f"group-{args.metric}"
-    elif command == "simulate" and args.subject == "all":
-        run = Run(config)
-        run.write_all_forecasts()
-        command = "simulate-all"
     elif command == "simulate":
-        # a ticker subject reads its own file only
-        run = Run(config, None if _parse_subject(args.subject) else [args.subject])
-        run.write_forecast(args.subject)
+        if args.subject == "all":
+            run.write_all_forecasts()
+        else:
+            run.write_forecast(args.subject)
         command = f"simulate-{args.subject}"
     else:
-        run = Run(config)
-        run.write_stats()
+        run.write_stats(run.tickers)
         for metric in METRICS:
             run.write_groups(metric)
         run.write_all_forecasts()

@@ -3,6 +3,7 @@
 import datetime as dt
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .errors import DataError, SettingsError
 from .evaluation import DEFAULT_HORIZONS, HorizonSpec
@@ -27,6 +28,9 @@ class RunConfig:
         for key in ("data_dir", "out_dir"):
             if not getattr(self, key):
                 raise SettingsError(f"{key} is empty; name a directory (. for the current one)")
+        if Path(self.out_dir).resolve() == Path(self.data_dir).resolve():
+            # the outputs would land among the price files, and a later run would read them
+            raise SettingsError(f"out_dir {self.out_dir} is data_dir {self.data_dir}")
         start, end = self.calibration_start, self.calibration_end
         if start > end:
             raise SettingsError(f"calibration_start {start} is after calibration_end {end}")

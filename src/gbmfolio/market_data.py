@@ -16,6 +16,7 @@ import datetime as dt
 import functools
 import math
 import operator
+import re
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ import numpy as np
 from .errors import DataError
 
 TRADING_DAYS_PER_YEAR = 252
+# the one date form a CSV export writes; fromisoformat also reads 20190107 and 2019-W02-2
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,10 @@ def _increasing(dates):
 @functools.lru_cache(maxsize=65536)
 def _parse_date(text):
     # one date object per distinct text; a text that does not parse raises each time
-    return dt.date.fromisoformat(text.strip())
+    text = text.strip()
+    if not _DATE.fullmatch(text):
+        raise ValueError(text)
+    return dt.date.fromisoformat(text)
 
 
 def _drop(ticker, what):
@@ -120,7 +126,10 @@ def _read_rows(reader, path, ticker):
             continue
         try:
             date = _parse_date(row[date_col])
-            price = float(row[price_col])
+            text = row[price_col]
+            if "_" in text or not text.isascii():  # float reads 1_000 and non-ASCII digits
+                raise ValueError(text)
+            price = float(text)
         except ValueError:
             _drop(ticker, f"dropping line {reader.line_num}: unparseable date or price")
             continue
@@ -139,10 +148,11 @@ def load_csv(path, ticker):
     """Load one asset's daily prices from a CSV export.
 
     The file needs a header with a date column and an adjusted-close
-    column ("Adj Close", falling back to "Close"). Blank lines are skipped;
-    every other row dropped (too few fields, an unparseable date or price,
-    a non-finite or non-positive price, or a date already read) is
-    named in its own `warning:` line on stderr.
+    column ("Adj Close", falling back to "Close"). A date is YYYY-MM-DD,
+    and a price is a number in ASCII characters without underscores.
+    Blank lines are skipped; every other row dropped (too few fields, an
+    unparseable date or price, a non-finite or non-positive price, or a
+    date already read) is named in its own `warning:` line on stderr.
     A UTF-8 byte-order mark, as spreadsheet exports write, is skipped; a
     file that is not UTF-8 text or not well-formed CSV is a DataError.
     """

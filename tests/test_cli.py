@@ -562,6 +562,20 @@ class TestUsageAndConfig:
         assert {p.name for p in data.iterdir()} == {p.name for p in universe_dir.iterdir()}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_an_out_dir_that_is_the_data_dir_is_data_error(
+        self, universe_dir, tmp_path, monkeypatch, capsys, route
+    ):
+        # a report there would write its outputs among the price files
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        monkeypatch.chdir(tmp_path)
+        argv, suffix = settings_argv(tmp_path, {"data_dir": "data", "out_dir": "./data/"}, route)
+        flags = ("--group-count", "3", "--group-size", "2", "--paths", "10", "--trials", "5")
+        assert main([*argv, *flags, "report"]) == 2
+        assert capsys.readouterr().err == f"data error: out_dir ./data/ is data_dir data{suffix}\n"
+        assert {p.name for p in data.iterdir()} == {p.name for p in universe_dir.iterdir()}
+
     @pytest.mark.parametrize(
         "window, start, end",
         [
@@ -1330,26 +1344,32 @@ sys.exit(code)
 """
 
 
+def count_calls(monkeypatch, *names):
+    """A Counter of the calls made to each of cli's `names` from now on."""
+    calls = Counter()
+
+    def count(name):
+        original = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    for name in names:
+        count(name)
+    return calls
+
+
 class TestPipeline:
     """report computes each stage once; the other commands are views of it."""
 
     FLAGS = ("--group-count", "3", "--group-size", "2", "--paths", "20", "--trials", "20")
 
     def test_report_runs_each_stage_once(self, universe_dir, tmp_path, monkeypatch):
-        calls = Counter()
-
-        def count(name):
-            original = getattr(cli, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(cli, name, counted)
-
         names = ("load_csv", "align_panel", "asset_stats", "rank_and_group", "optimize_max_sharpe")
-        for name in names:
-            count(name)
+        calls = count_calls(monkeypatch, *names)
         assert run(universe_dir, tmp_path, *self.FLAGS, "report") == 0
         n_files = len(list(universe_dir.glob("*.csv")))
         assert calls == {
@@ -1369,19 +1389,7 @@ class TestPipeline:
     def test_a_group_is_optimized_and_priced_only_when_a_file_needs_it(
         self, universe_dir, tmp_path, monkeypatch, command, optimizations, value_series
     ):
-        calls = Counter()
-
-        def count(name):
-            original = getattr(cli, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(cli, name, counted)
-
-        count("optimize_max_sharpe")
-        count("portfolio_value_series")
+        calls = count_calls(monkeypatch, "optimize_max_sharpe", "portfolio_value_series")
         assert run(universe_dir, tmp_path, *self.FLAGS, *command) == 0
         assert calls["optimize_max_sharpe"] == optimizations
         assert calls["portfolio_value_series"] == value_series
@@ -1472,6 +1480,70 @@ class TestPipeline:
             "data error: inner join of 2 tickers: calibration_start..calibration_end"
             " (2016-01-01..2018-12-31) holds fewer than 3 trading days\n"
         )
+
+    @pytest.mark.parametrize(
+        "command, loads",
+        [
+            (("stats", "SYN00"), 1),
+            (("simulate", "--subject", "SYN00"), 1),
+            (("stats",), None),
+            (("group", "--metric", "risk"), None),
+            (("simulate", "--subject", "sharpe-2"), None),
+            (("simulate", "--subject", "all"), None),
+        ],
+        ids=["stats-SYN00", "simulate-SYN00", "stats", "group-risk", "simulate-sharpe-2",
+             "simulate-all"],
+    )
+    def test_each_file_a_command_needs_is_loaded_once(
+        self, universe_dir, tmp_path, monkeypatch, command, loads
+    ):
+        calls = count_calls(monkeypatch, "load_csv")
+        assert run(universe_dir, tmp_path, *self.FLAGS, *command) == 0
+        # None: every file of the universe
+        assert calls["load_csv"] == (loads or len(list(universe_dir.glob("*.csv"))))
+
+    def test_only_commands_that_list_the_data_dir_check_its_file_names(
+        self, universe_dir, tmp_path, capsys
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        shutil.copy(data / "SYN05.csv", data / "bad name.csv")
+        assert run(data, tmp_path / "stats", "stats", "SYN00") == 0
+        rc = run(data, tmp_path / "sim", "--paths", "20", "simulate", "--subject", "SYN00")
+        assert rc == 0
+        assert run(data, tmp_path / "report", *self.FLAGS, "report") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {data / 'bad name.csv'}: file name is not a ticker: a ticker is"
+            " letters, digits and . - ^ =, starting with a letter, a digit or ^\n"
+        )
+        assert not (tmp_path / "report").exists()
+
+    def test_a_failing_run_stops_at_the_first_ticker_that_fails(
+        self, universe_dir, tmp_path, monkeypatch, capsys
+    ):
+        # tickers are loaded and calibrated one at a time, in file-name order
+        data = tmp_path / "data"
+        shutil.copytree(universe_dir, data)
+        short = data / "SYN01.csv"
+        header, *rows = short.read_text().splitlines(keepends=True)
+        short.write_text(header + "".join(r for r in rows if r.startswith("2019")))
+        with open(data / "SYN05.csv", "a", newline="") as fh:
+            fh.write("2019-12-31,null,,,,null,0\r\n")  # loading this file prints a warning
+        loaded = []
+
+        def record(path, ticker):
+            loaded.append(ticker)
+            return load_csv(path, ticker)
+
+        monkeypatch.setattr(cli, "load_csv", record)
+        flags = ("--group-count", "3", "--group-size", "2", "--paths", "10", "--trials", "5")
+        assert run(data, tmp_path / "out", *flags, "report") == 2
+        assert capsys.readouterr().err == (
+            "data error: SYN01: calibration_start..calibration_end (2016-01-01..2018-12-31)"
+            " holds fewer than 3 trading days\n"
+        )
+        assert loaded == ["SYN00", "SYN01"]
+        assert not (tmp_path / "out").exists()
 
     def test_single_ticker_commands_read_only_their_file(self, universe_dir, tmp_path):
         data = tmp_path / "data"

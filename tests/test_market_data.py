@@ -48,6 +48,26 @@ class TestLoadCsv:
         # the header is line 1, so row 2 is line 4
         assert capsys.readouterr().err == "warning: A: dropping line 4: unparseable date or price\n"
 
+    @pytest.mark.parametrize(
+        "date, price",
+        [
+            ("2019-01-04", "1_000"),  # float reads 1000.0
+            ("2019-01-04", "\u0661\u0662"),  # Arabic-Indic digits; float reads 12.0
+            ("20190104", "10.0"),  # ISO 8601's basic form
+            ("2019-W01-5", "10.0"),  # ISO 8601's week form, 2019-01-04
+        ],
+        ids=["underscore", "arabic-indic", "basic-date", "week-date"],
+    )
+    def test_a_row_outside_the_export_grammar_is_dropped(self, tmp_path, capsys, date, price):
+        path = tmp_path / "a.csv"
+        rows = [(f"2019-01-{d:02d}", "10.0") for d in (2, 3, 4, 7, 8)]
+        rows[2] = (date, price)
+        lines = (f"{d},{p},{p},{p},{p},{p},0\n" for d, p in rows)
+        path.write_text(HEADER + "".join(lines), encoding="utf-8")
+        s = load_csv(path, "A")
+        assert s.dates == tuple(dt.date(2019, 1, d) for d in (2, 3, 7, 8))
+        assert capsys.readouterr().err == "warning: A: dropping line 4: unparseable date or price\n"
+
     def test_single_valid_row_rejected(self, tmp_path):
         path = tmp_path / "a.csv"
         write_csv(path, [("2019-01-02", "10.0")])
