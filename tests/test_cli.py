@@ -1482,7 +1482,7 @@ class TestPipeline:
         )
 
     @pytest.mark.parametrize(
-        "command, loads",
+        "command, loads",  # loads None: every file of the universe
         [
             (("stats", "SYN00"), 1),
             (("simulate", "--subject", "SYN00"), 1),
@@ -1499,7 +1499,6 @@ class TestPipeline:
     ):
         calls = count_calls(monkeypatch, "load_csv")
         assert run(universe_dir, tmp_path, *self.FLAGS, *command) == 0
-        # None: every file of the universe
         assert calls["load_csv"] == (loads or len(list(universe_dir.glob("*.csv"))))
 
     def test_only_commands_that_list_the_data_dir_check_its_file_names(
